@@ -36,20 +36,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/aio/stack.h"
+#include "bench/harness.h"
 #include "src/com/aio.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_glue.h"
 #include "src/dev/linux/linux_ide.h"
-#include "src/diskpart/diskpart.h"
-#include "src/fs/cache.h"
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
 #include "src/http/http.h"
@@ -57,20 +52,15 @@
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
 
-int g_failures = 0;
 uint64_t g_seed_base = 0;  // shifts deterministic patterns onto another stream
 
-void Fail(const char* leg, const char* what) {
-  std::printf("FAIL: %s: %s\n", leg, what);
-  ++g_failures;
-}
-
-uint8_t PatternByte(uint64_t salt, size_t i) {
-  return static_cast<uint8_t>((salt + g_seed_base) * 131 + i * 29 + (i >> 9));
+uint8_t Pattern(uint64_t salt, size_t i) {
+  return PatternByte(salt + g_seed_base, i);
 }
 
 uint64_t Ambient(const char* name) {
@@ -101,20 +91,20 @@ DepthPoint RunDepth(size_t depth) {
   machine->AddDisk(kSweepBlocks + 64);
   DeviceRegistry registry;
   if (!Ok(linuxdev::InitLinuxIde(fdev, machine.get(), &registry))) {
-    Fail("queue_depth", "IDE probe failed");
+    Fail("queue_depth: IDE probe failed");
     return point;
   }
   auto device = registry.LookupByName("hda");
   ComPtr<BlkIoRing> ring = ComPtr<BlkIoRing>::FromQuery(device.get());
   if (!ring) {
-    Fail("queue_depth", "IDE device does not grant BlkIoRing");
+    Fail("queue_depth: IDE device does not grant BlkIoRing");
     return point;
   }
   auto* ide = static_cast<linuxdev::LinuxIdeDev*>(device.get());
 
   std::vector<uint8_t> data(kSweepBlocks * 512);
   for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = PatternByte(depth, i);
+    data[i] = Pattern(depth, i);
   }
 
   uint64_t issued_before = 0;
@@ -135,23 +125,23 @@ DepthPoint RunDepth(size_t depth) {
         size_t accepted = 0;
         if (!Ok(ring->Submit(sqes.data() + submitted, batch - submitted,
                              &accepted))) {
-          Fail("queue_depth", "Submit failed");
+          Fail("queue_depth: Submit failed");
           return;
         }
         AioCqe cqes[64];
         size_t got = 0;
         if (!Ok(ring->Reap(cqes, 64, &got))) {
-          Fail("queue_depth", "Reap failed");
+          Fail("queue_depth: Reap failed");
           return;
         }
         for (size_t i = 0; i < got; ++i) {
           if (!Ok(cqes[i].status) || cqes[i].actual != 512) {
-            Fail("queue_depth", "a CQE completed with an error");
+            Fail("queue_depth: a CQE completed with an error");
             return;
           }
         }
         if (accepted == 0 && got == 0) {
-          Fail("queue_depth", "ring made no progress");
+          Fail("queue_depth: ring made no progress");
           return;
         }
         submitted += accepted;
@@ -160,7 +150,7 @@ DepthPoint RunDepth(size_t depth) {
         AioCqe cqes[64];
         size_t got = 0;
         if (!Ok(ring->Reap(cqes, 64, &got)) || got == 0) {
-          Fail("queue_depth", "drain Reap failed");
+          Fail("queue_depth: drain Reap failed");
           return;
         }
       }
@@ -169,7 +159,7 @@ DepthPoint RunDepth(size_t depth) {
     done = true;
   });
   if (sim.Run(600 * kNsPerSec) != Simulation::RunResult::kAllDone || !done) {
-    Fail("queue_depth", "sweep fiber did not finish");
+    Fail("queue_depth: sweep fiber did not finish");
     return point;
   }
 
@@ -201,7 +191,7 @@ JournalRing RunJournalRing() {
   machine->AddDisk(16 * 1024);  // 8 MiB
   DeviceRegistry registry;
   if (!Ok(linuxdev::InitLinuxIde(fdev, machine.get(), &registry))) {
-    Fail("journal_ring", "IDE probe failed");
+    Fail("journal_ring: IDE probe failed");
     return result;
   }
   auto device = registry.LookupByName("hda");
@@ -213,14 +203,14 @@ JournalRing RunJournalRing() {
   bool done = false;
   sim.Spawn("journal", [&] {
     if (!Ok(fs::Mkfs(blkio.get()))) {
-      Fail("journal_ring", "mkfs failed");
+      Fail("journal_ring: mkfs failed");
       return;
     }
     fs::MountOptions mo;
     mo.trace = &tenv;
     ComPtr<FileSystem> fs;
     if (!Ok(fs::Offs::Mount(blkio.get(), mo, fs.Receive()))) {
-      Fail("journal_ring", "mount failed");
+      Fail("journal_ring: mount failed");
       return;
     }
     ComPtr<Dir> root;
@@ -230,21 +220,21 @@ JournalRing RunJournalRing() {
       std::snprintf(name, sizeof(name), "f%02d", i);
       ComPtr<File> f;
       if (!Ok(root->Create(name, 0644, f.Receive()))) {
-        Fail("journal_ring", "create failed");
+        Fail("journal_ring: create failed");
         return;
       }
       std::string content(2048, '\0');
       for (size_t j = 0; j < content.size(); ++j) {
-        content[j] = static_cast<char>(PatternByte(i, j));
+        content[j] = static_cast<char>(Pattern(i, j));
       }
       size_t n = 0;
       if (!Ok(f->Write(content.data(), 0, content.size(), &n)) ||
           n != content.size()) {
-        Fail("journal_ring", "write failed");
+        Fail("journal_ring: write failed");
         return;
       }
       if (i % 4 == 3 && !Ok(fs->Sync())) {
-        Fail("journal_ring", "sync failed");
+        Fail("journal_ring: sync failed");
         return;
       }
     }
@@ -252,24 +242,24 @@ JournalRing RunJournalRing() {
     // Snapshot while the mount (and its fs.journal.* bindings) is alive.
     result.commits = tenv.registry.Value("fs.journal.commits");
     if (!Ok(fs->Unmount())) {
-      Fail("journal_ring", "unmount failed");
+      Fail("journal_ring: unmount failed");
       return;
     }
     done = true;
   });
   if (sim.Run(600 * kNsPerSec) != Simulation::RunResult::kAllDone || !done) {
-    Fail("journal_ring", "workload did not finish");
+    Fail("journal_ring: workload did not finish");
     return result;
   }
 
   result.ring_sqes = Ambient("glue.ide.ring.sqes") - sqes_before;
   result.ring_merges = Ambient("glue.ide.ring.merges") - merges_before;
   if (result.commits == 0) {
-    Fail("journal_ring", "workload committed no journal transactions");
+    Fail("journal_ring: workload committed no journal transactions");
   }
   if (result.ring_sqes == 0) {
-    Fail("journal_ring",
-         "journal commits issued no ring SQEs (writer fell back to sync)");
+    Fail("journal_ring: journal commits issued no ring SQEs (writer fell "
+         "back to sync)");
   }
   return result;
 }
@@ -277,43 +267,6 @@ JournalRing RunJournalRing() {
 // ---------------------------------------------------------------------------
 // Leg 3: the stack-composition matrix.
 // ---------------------------------------------------------------------------
-
-// Bottom-up layer spec, as in crash_campaign --stack.
-ComPtr<BlkIo> ApplyStack(ComPtr<BlkIo> base, const std::string& spec,
-                         trace::TraceEnv* tenv) {
-  ComPtr<BlkIo> top = std::move(base);
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    size_t end = comma == std::string::npos ? spec.size() : comma;
-    std::string layer = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (layer == "stripe") {
-      off_t64 size = 0;
-      top->GetSize(&size);
-      uint64_t half = (size / 512) / 2;
-      Partition lo{.start_sector = 0, .sector_count = half};
-      Partition hi{.start_sector = half, .sector_count = half};
-      std::vector<ComPtr<BlkIo>> members;
-      members.push_back(MakePartitionView(top.get(), lo));
-      members.push_back(MakePartitionView(top.get(), hi));
-      uint32_t bs = members[0]->GetBlockSize();
-      uint32_t unit = (2048 + bs - 1) / bs * bs;
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::StripeBlkIo::Create(std::move(members), unit, tenv).get());
-    } else if (layer == "checksum") {
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::ChecksumBlkIo::Create(top.get(), tenv).get());
-    } else if (layer == "cache") {
-      top = ComPtr<BlkIo>::FromQuery(
-          fs::CacheBlkIo::Create(top.get(), 4096, 64, tenv).get());
-    } else {
-      std::fprintf(stderr, "unknown stack layer: %s\n", layer.c_str());
-      std::exit(2);
-    }
-  }
-  return top;
-}
 
 struct MatrixTotals {
   uint64_t compositions = 0;
@@ -353,7 +306,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
           }
           std::string content(1024 + i * 97, '\0');
           for (size_t j = 0; j < content.size(); ++j) {
-            content[j] = static_cast<char>(PatternByte(i, j));
+            content[j] = static_cast<char>(Pattern(i, j));
           }
           size_t n = 0;
           ok = Ok(f->Write(content.data(), 0, content.size(), &n)) &&
@@ -380,7 +333,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
     if (ok) {
       ++totals->fsck_consistent;
     } else {
-      Fail("stack_matrix", label);
+      Fail("stack_matrix: %s", label);
     }
   }
 
@@ -397,7 +350,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
     bool ok = true;
     for (size_t off = 0; ok && off < kSpan; off += kChunk) {
       for (size_t j = 0; j < kChunk; ++j) {
-        chunk[j] = PatternByte(7, off + j);
+        chunk[j] = Pattern(7, off + j);
       }
       size_t n = 0;
       ok = Ok(top->Write(chunk.data(), off, kChunk, &n)) && n == kChunk;
@@ -405,14 +358,14 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
     ComPtr<BlkIoBarrier> barrier = ComPtr<BlkIoBarrier>::FromQuery(top.get());
     ok = ok && barrier && Ok(barrier->Flush());
     if (!ok) {
-      Fail("stack_matrix", "scribble trial could not write+flush the span");
+      Fail("stack_matrix: scribble trial could not write+flush the span");
       return;
     }
     if (spec.find("stripe") != std::string::npos) {
       if (tenv.registry.Value("aio.stripe.flushes") > 0) {
         ++totals->flush_propagated;
       } else {
-        Fail("stack_matrix", "Flush never reached the stripe layer");
+        Fail("stack_matrix: Flush never reached the stripe layer");
       }
     }
     for (size_t raw = 0; raw + kChunk <= base->size(); raw += kChunk) {
@@ -428,7 +381,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
         continue;
       }
       for (size_t j = 0; j < kChunk; ++j) {
-        if (chunk[j] != PatternByte(7, off + j)) {
+        if (chunk[j] != Pattern(7, off + j)) {
           ++silent;
           break;
         }
@@ -439,15 +392,15 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
       if (detected > 0 && silent == 0) {
         ++totals->detecting_stacks;
       } else {
-        Fail("stack_matrix",
-             "a checksummed stack let a scribble through unverified");
+        Fail("stack_matrix: a checksummed stack let a scribble through "
+             "unverified");
       }
     } else {
       if (silent > 0 && detected == 0) {
         ++totals->silent_stacks;  // ablation: no detector, silent corruption
       } else {
-        Fail("stack_matrix",
-             "the plain stack unexpectedly detected the scribble");
+        Fail("stack_matrix: the plain stack unexpectedly detected the "
+             "scribble");
       }
     }
   }
@@ -469,32 +422,6 @@ struct HttpRun {
   uint64_t sendfile_responses = 0;
 };
 
-bool Exchange(const ComPtr<Socket>& sock, const std::string& wire,
-              size_t expected, std::vector<http::Response>* out) {
-  size_t sent = 0;
-  if (!Ok(sock->Send(wire.data(), wire.size(), &sent)) ||
-      sent != wire.size()) {
-    return false;
-  }
-  const size_t target = out->size() + expected;
-  http::ResponseParser parser;
-  char buf[4096];
-  while (out->size() < target) {
-    size_t got = 0;
-    Error err = sock->Recv(buf, sizeof(buf), &got);
-    if (!Ok(err) || got == 0) {
-      return false;
-    }
-    if (parser.Feed(buf, got) == http::ParseStatus::kError) {
-      return false;
-    }
-    while (parser.HasResponse()) {
-      out->push_back(parser.TakeResponse());
-    }
-  }
-  return true;
-}
-
 HttpRun RunHttp(bool sendfile) {
   HttpRun result;
   VirtualSwitch::Config sw;
@@ -506,7 +433,7 @@ HttpRun RunHttp(bool sendfile) {
 
   std::string body(kBodyBytes, '\0');
   for (size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<char>(PatternByte(3, i));
+    body[i] = static_cast<char>(Pattern(3, i));
   }
 
   bool listening = false;
@@ -555,12 +482,13 @@ HttpRun RunHttp(bool sendfile) {
     }
     std::vector<http::Response> rsps;
     for (int i = 0; i < kGets; ++i) {
-      if (!Exchange(sock, "GET /big.bin HTTP/1.1\r\nHost: bench\r\n\r\n", 1,
+      if (!Exchange(sock.get(),
+                    "GET /big.bin HTTP/1.1\r\nHost: bench\r\n\r\n", 1,
                     &rsps)) {
         return;
       }
     }
-    if (!Exchange(sock,
+    if (!Exchange(sock.get(),
                   "GET /__quit HTTP/1.1\r\nHost: bench\r\n"
                   "Connection: close\r\n\r\n",
                   1, &rsps)) {
@@ -580,7 +508,7 @@ HttpRun RunHttp(bool sendfile) {
   world.RunToCompletion();
   const char* leg = sendfile ? "sendfile" : "sendfile-ablation";
   if (!client_ok) {
-    Fail(leg, "client did not complete its transfers intact");
+    Fail("%s: client did not complete its transfers intact", leg);
     return result;
   }
   result.ok = true;
@@ -596,22 +524,13 @@ HttpRun RunHttp(bool sendfile) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: aio_campaign [--seed-base B] [--json <path>]
   // --seed-base shifts every deterministic data pattern onto a different
   // stream, so a second CI job exercises different bytes end to end.
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      g_seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else {
-      std::fprintf(stderr,
-                   "usage: aio_campaign [--seed-base B] [--json <path>]\n");
-      return 2;
-    }
-  }
+  Flags("aio_campaign")
+      .Add("--seed-base", &g_seed_base, "B")
+      .Add("--json", &json_path, "<path>")
+      .ParseOrExit(argc, argv);
 
   // Leg 1.
   const size_t depths[] = {1, 2, 4, 8, 16, 32};
@@ -622,10 +541,10 @@ int main(int argc, char** argv) {
                 sweep.back().requests_per_block, sweep.back().ns_per_block);
   }
   if (sweep.front().requests_per_block != 1.0) {
-    Fail("queue_depth", "depth 1 must cost exactly one request per block");
+    Fail("queue_depth: depth 1 must cost exactly one request per block");
   }
   if (sweep.back().requests_per_block > 0.125) {
-    Fail("queue_depth", "depth 32 did not merge submissions into runs");
+    Fail("queue_depth: depth 32 did not merge submissions into runs");
   }
   double merge_speedup =
       sweep.back().ns_per_block > 0
@@ -668,7 +587,7 @@ int main(int argc, char** argv) {
     // Both runs stage identical header (and quit-body) bytes, so the
     // ablation run prices the overhead exactly.
     if (off.copied < body_total) {
-      Fail("sendfile", "ablation run copied fewer bytes than the bodies");
+      Fail("sendfile: ablation run copied fewer bytes than the bodies");
     } else {
       uint64_t overhead = off.copied - body_total;
       copied_per_body_byte =
@@ -678,20 +597,20 @@ int main(int argc, char** argv) {
           static_cast<double>(off.copied - overhead) /
           static_cast<double>(body_total);
       if (on.copied != overhead) {
-        Fail("sendfile", "sendfile run copied body bytes (not zero-copy)");
+        Fail("sendfile: sendfile run copied body bytes (not zero-copy)");
       }
     }
     if (on.sendfile_bytes != body_total) {
-      Fail("sendfile", "not every body byte went through the zero-copy path");
+      Fail("sendfile: not every body byte went through the zero-copy path");
     }
     if (on.fallback_bytes != 0) {
-      Fail("sendfile", "the zero-copy path fell back to copying");
+      Fail("sendfile: the zero-copy path fell back to copying");
     }
     if (on.sendfile_responses != static_cast<uint64_t>(kGets)) {
-      Fail("sendfile", "not every static response used sendfile");
+      Fail("sendfile: not every static response used sendfile");
     }
     if (off.sendfile_bytes != 0 || off.sendfile_responses != 0) {
-      Fail("sendfile", "the ablation run still used sendfile");
+      Fail("sendfile: the ablation run still used sendfile");
     }
   }
   std::printf("sendfile: %.3f copied bytes per body byte "
@@ -703,58 +622,39 @@ int main(int argc, char** argv) {
               "%d failures\n",
               sweep.size(),
               static_cast<unsigned long long>(matrix.compositions),
-              g_failures);
+              Failures());
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"aio_campaign\",\n");
-    std::fprintf(f, "  \"failures\": %d,\n", g_failures);
-    std::fprintf(f, "  \"queue_depth\": {\n");
-    std::fprintf(f, "    \"blocks_per_depth\": %zu,\n", kSweepBlocks);
-    for (const DepthPoint& p : sweep) {
-      std::fprintf(f, "    \"d%zu_requests_per_block\": %.6f,\n", p.depth,
-                   p.requests_per_block);
-      std::fprintf(f, "    \"d%zu_ns_per_block\": %.1f,\n", p.depth,
-                   p.ns_per_block);
-    }
-    std::fprintf(f, "    \"merge_speedup\": %.4f\n  },\n", merge_speedup);
-    std::fprintf(f, "  \"journal_ring\": {\n");
-    std::fprintf(f, "    \"ring_sqes\": %llu,\n",
-                 static_cast<unsigned long long>(journal.ring_sqes));
-    std::fprintf(f, "    \"ring_merges\": %llu,\n",
-                 static_cast<unsigned long long>(journal.ring_merges));
-    std::fprintf(f, "    \"commits\": %llu\n  },\n",
-                 static_cast<unsigned long long>(journal.commits));
-    std::fprintf(f, "  \"stack_matrix\": {\n");
-    std::fprintf(f, "    \"compositions\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.compositions));
-    std::fprintf(f, "    \"fsck_consistent\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.fsck_consistent));
-    std::fprintf(f, "    \"detecting_stacks\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.detecting_stacks));
-    std::fprintf(f, "    \"silent_stacks\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.silent_stacks));
-    std::fprintf(f, "    \"flush_propagated\": %llu\n  },\n",
-                 static_cast<unsigned long long>(matrix.flush_propagated));
-    std::fprintf(f, "  \"sendfile\": {\n");
-    std::fprintf(f, "    \"responses\": %d,\n", kGets);
-    std::fprintf(f, "    \"body_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(body_total));
-    std::fprintf(f, "    \"copied_per_body_byte\": %.6f,\n",
-                 copied_per_body_byte);
-    std::fprintf(f, "    \"ablation_copied_per_body_byte\": %.6f,\n",
-                 ablation_copied_per_body_byte);
-    std::fprintf(f, "    \"zero_copy_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(on.sendfile_bytes));
-    std::fprintf(f, "    \"fallback_bytes\": %llu\n  }\n",
-                 static_cast<unsigned long long>(on.fallback_bytes));
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+  Report report;
+  report.Field("bench", "aio_campaign")
+      .Field("failures", Failures())
+      .Object("queue_depth")
+      .Field("blocks_per_depth", kSweepBlocks);
+  for (const DepthPoint& p : sweep) {
+    std::string d = "d" + std::to_string(p.depth);
+    report.Field(d + "_requests_per_block", p.requests_per_block, 6)
+        .Field(d + "_ns_per_block", p.ns_per_block, 1);
   }
-
-  return g_failures == 0 ? 0 : 1;
+  report.Field("merge_speedup", merge_speedup, 4)
+      .End()
+      .Object("journal_ring")
+      .Field("ring_sqes", journal.ring_sqes)
+      .Field("ring_merges", journal.ring_merges)
+      .Field("commits", journal.commits)
+      .End()
+      .Object("stack_matrix")
+      .Field("compositions", matrix.compositions)
+      .Field("fsck_consistent", matrix.fsck_consistent)
+      .Field("detecting_stacks", matrix.detecting_stacks)
+      .Field("silent_stacks", matrix.silent_stacks)
+      .Field("flush_propagated", matrix.flush_propagated)
+      .End()
+      .Object("sendfile")
+      .Field("responses", kGets)
+      .Field("body_bytes", body_total)
+      .Field("copied_per_body_byte", copied_per_body_byte, 6)
+      .Field("ablation_copied_per_body_byte", ablation_copied_per_body_byte, 6)
+      .Field("zero_copy_bytes", on.sendfile_bytes)
+      .Field("fallback_bytes", on.fallback_bytes)
+      .End();
+  return Finish(report, json_path);
 }

@@ -29,13 +29,14 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/base/random.h"
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
@@ -63,43 +64,16 @@ struct Options {
   const char* json_path = nullptr;
 };
 
-SocketExt* QueryExt(Socket* s) {
-  void* extp = nullptr;
-  if (!Ok(s->Query(SocketExt::kIid, &extp))) {
-    return nullptr;
-  }
-  return static_cast<SocketExt*>(extp);
-}
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  size_t idx = static_cast<size_t>(p * (sorted.size() - 1));
-  return sorted[idx];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--hosts" && i + 1 < argc) {
-      opt.hosts = std::atoi(argv[++i]);
-    } else if (arg == "--per-host" && i + 1 < argc) {
-      opt.per_host = std::atoi(argv[++i]);
-    } else if (arg == "--mean-us" && i + 1 < argc) {
-      opt.mean_arrival_us = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: c10k [--hosts N] [--per-host N] [--mean-us U] "
-                   "[--json <path>]\n");
-      return 2;
-    }
-  }
+  Flags("c10k")
+      .Add("--hosts", &opt.hosts)
+      .Add("--per-host", &opt.per_host)
+      .Add("--mean-us", &opt.mean_arrival_us, "U")
+      .Add("--json", &opt.json_path, "<path>")
+      .ParseOrExit(argc, argv);
   const int total = opt.hosts * opt.per_host;
 
   std::printf("C10k: %d loadgen hosts x %d connections = %d total, "
@@ -345,107 +319,76 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   world.vswitch()->frames_flooded()));
 
-  bool fail = false;
   std::printf("\nShape checks:\n");
 
-  bool ok = static_cast<int>(latencies_us.size()) == total && failures == 0;
-  fail |= !ok;
-  std::printf("  completion:  %zu/%d round trips, %d failures  %s\n",
-              latencies_us.size(), total, failures, ok ? "PASS" : "FAIL");
+  Check(static_cast<int>(latencies_us.size()) == total && failures == 0,
+        "  completion:  %zu/%d round trips, %d failures",
+        latencies_us.size(), total, failures);
 
   // The hold-open barrier means the peak proves true concurrency.
-  ok = peak >= static_cast<uint64_t>(total);
-  fail |= !ok;
-  std::printf("  concurrency: established peak %llu >= %d held-open  %s\n",
-              static_cast<unsigned long long>(peak), total,
-              ok ? "PASS" : "FAIL");
+  Check(peak >= static_cast<uint64_t>(total),
+        "  concurrency: established peak %llu >= %d held-open",
+        static_cast<unsigned long long>(peak), total);
 
   // The headline: the C10k floor, with a real multi-host fabric.
   if (total >= 10000) {
-    ok = peak >= 10000 && opt.hosts >= 4;
-    fail |= !ok;
-    std::printf("  c10k:        %llu concurrent connections from %d hosts "
-                "(floor 10000 from >= 4)  %s\n",
-                static_cast<unsigned long long>(peak), opt.hosts,
-                ok ? "PASS" : "FAIL");
+    Check(peak >= 10000 && opt.hosts >= 4,
+          "  c10k:        %llu concurrent connections from %d hosts "
+          "(floor 10000 from >= 4)",
+          static_cast<unsigned long long>(peak), opt.hosts);
   } else {
     std::printf("  c10k:        SKIPPED (reduced scale: %d < 10000)\n", total);
   }
 
   // The O(1) internals carried the whole load: hash demux only, the linear
   // scan path never ran, and connection timers went through the wheel.
-  ok = sc.pcb_scan_full.value() == 0 && sc.pcb_hash_hits.value() > 0 &&
-       loadgen_wheel_fired > 0;
-  fail |= !ok;
-  std::printf("  internals:   %llu hash hits, %llu full scans, %llu wheel "
-              "fires  %s\n",
-              static_cast<unsigned long long>(sc.pcb_hash_hits.value()),
-              static_cast<unsigned long long>(sc.pcb_scan_full.value()),
-              static_cast<unsigned long long>(loadgen_wheel_fired),
-              ok ? "PASS" : "FAIL");
+  Check(sc.pcb_scan_full.value() == 0 && sc.pcb_hash_hits.value() > 0 &&
+            loadgen_wheel_fired > 0,
+        "  internals:   %llu hash hits, %llu full scans, %llu wheel fires",
+        static_cast<unsigned long long>(sc.pcb_hash_hits.value()),
+        static_cast<unsigned long long>(sc.pcb_scan_full.value()),
+        static_cast<unsigned long long>(loadgen_wheel_fired));
 
   // Every registration was retired: nothing leaked in the selectors.
-  ok = sc.select_registered.value() == 0 &&
-       sc.select_adds.value() == static_cast<uint64_t>(total) + 1;
-  fail |= !ok;
-  std::printf("  selector:    %llu adds (conns+listener), %llu still "
-              "registered  %s\n",
-              static_cast<unsigned long long>(sc.select_adds.value()),
-              static_cast<unsigned long long>(sc.select_registered.value()),
-              ok ? "PASS" : "FAIL");
+  Check(sc.select_registered.value() == 0 &&
+            sc.select_adds.value() == static_cast<uint64_t>(total) + 1,
+        "  selector:    %llu adds (conns+listener), %llu still registered",
+        static_cast<unsigned long long>(sc.select_adds.value()),
+        static_cast<unsigned long long>(sc.select_registered.value()));
 
   // The switch really switched: one port per host, learning converged to
   // unicast (floods are ARP broadcasts only).
-  ok = world.vswitch()->port_count() == static_cast<size_t>(opt.hosts) + 1 &&
-       world.vswitch()->frames_unicast() > world.vswitch()->frames_flooded();
-  fail |= !ok;
-  std::printf("  fabric:      %zu ports, %llu unicast vs %llu flooded  %s\n",
-              world.vswitch()->port_count(),
-              static_cast<unsigned long long>(
-                  world.vswitch()->frames_unicast()),
-              static_cast<unsigned long long>(
-                  world.vswitch()->frames_flooded()),
-              ok ? "PASS" : "FAIL");
+  const VirtualSwitch& vs = *world.vswitch();
+  Check(vs.port_count() == static_cast<size_t>(opt.hosts) + 1 &&
+            vs.frames_unicast() > vs.frames_flooded(),
+        "  fabric:      %zu ports, %llu unicast vs %llu flooded",
+        vs.port_count(), static_cast<unsigned long long>(vs.frames_unicast()),
+        static_cast<unsigned long long>(vs.frames_flooded()));
 
-  if (opt.json_path != nullptr) {
-    std::FILE* f = std::fopen(opt.json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", opt.json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"c10k\",\n");
-    std::fprintf(f, "  \"hosts\": %d,\n  \"per_host\": %d,\n  \"total\": %d,\n",
-                 opt.hosts, opt.per_host, total);
-    std::fprintf(f, "  \"completed\": %zu,\n  \"failures\": %d,\n",
-                 latencies_us.size(), failures);
-    std::fprintf(f, "  \"established_peak\": %llu,\n",
-                 static_cast<unsigned long long>(peak));
-    std::fprintf(f, "  \"conns_per_sec\": %.1f,\n", conns_per_sec);
-    std::fprintf(f,
-                 "  \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, "
-                 "\"p999\": %.1f, \"max\": %.1f},\n",
-                 p50, p99, p999, pmax);
-    std::fprintf(f, "  \"listen_overflows\": %llu,\n",
-                 static_cast<unsigned long long>(overflows));
-    std::fprintf(f, "  \"pcb_hash_hits\": %llu,\n",
-                 static_cast<unsigned long long>(sc.pcb_hash_hits.value()));
-    std::fprintf(f, "  \"pcb_scan_full\": %llu,\n",
-                 static_cast<unsigned long long>(sc.pcb_scan_full.value()));
-    std::fprintf(f, "  \"wheel_fired_loadgen\": %llu,\n",
-                 static_cast<unsigned long long>(loadgen_wheel_fired));
-    std::fprintf(f, "  \"switch\": {\"ports\": %zu, \"unicast\": %llu, "
-                 "\"flooded\": %llu, \"macs_learned\": %llu}\n",
-                 world.vswitch()->port_count(),
-                 static_cast<unsigned long long>(
-                     world.vswitch()->frames_unicast()),
-                 static_cast<unsigned long long>(
-                     world.vswitch()->frames_flooded()),
-                 static_cast<unsigned long long>(
-                     world.vswitch()->macs_learned()));
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", opt.json_path);
-  }
-
-  return fail ? 1 : 0;
+  Report report;
+  report.Field("bench", "c10k")
+      .Field("hosts", opt.hosts)
+      .Field("per_host", opt.per_host)
+      .Field("total", total)
+      .Field("completed", latencies_us.size())
+      .Field("failures", failures)
+      .Field("established_peak", peak)
+      .Field("conns_per_sec", conns_per_sec, 1)
+      .Object("latency_us", Report::Layout::kInline)
+      .Field("p50", p50, 1)
+      .Field("p99", p99, 1)
+      .Field("p999", p999, 1)
+      .Field("max", pmax, 1)
+      .End()
+      .Field("listen_overflows", overflows)
+      .Field("pcb_hash_hits", sc.pcb_hash_hits.value())
+      .Field("pcb_scan_full", sc.pcb_scan_full.value())
+      .Field("wheel_fired_loadgen", loadgen_wheel_fired)
+      .Object("switch", Report::Layout::kInline)
+      .Field("ports", vs.port_count())
+      .Field("unicast", vs.frames_unicast())
+      .Field("flooded", vs.frames_flooded())
+      .Field("macs_learned", vs.macs_learned())
+      .End();
+  return Finish(report, opt.json_path);
 }

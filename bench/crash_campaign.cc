@@ -26,23 +26,19 @@
 // disk.wcache.dropped all nonzero across the sweep.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/aio/stack.h"
+#include "bench/harness.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_ide.h"
-#include "src/diskpart/diskpart.h"
-#include "src/fs/cache.h"
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
@@ -52,77 +48,21 @@ constexpr uint16_t kPort = 7100;
 constexpr size_t kStreamBytes = 48 * 1024;
 const char* const kDirMarker = "\x01:dir";
 
-int g_failures = 0;
-
 // --stack: the blkio layer composition mounted between the filesystem and
-// the IDE device, listed bottom-up ("stripe,checksum,cache" = cache on
-// top).  Empty = the classic direct mount.  The identical composition is
-// rebuilt over the post-crash image for recovery, so fsck sees the stack's
-// logical geometry with fresh (volatile) layer state — exactly what a
-// reboot gives.
+// the IDE device (see ApplyStack).  Empty = the classic direct mount.  The
+// identical composition is rebuilt over the post-crash image for recovery,
+// so fsck sees the stack's logical geometry with fresh (volatile) layer
+// state — exactly what a reboot gives.
 std::string g_stack;
 
-void Fail(const char* phase, uint64_t run, const char* what) {
-  std::printf("FAIL: %s run %llu [stack=%s]: %s\n", phase,
-              static_cast<unsigned long long>(run),
-              g_stack.empty() ? "plain" : g_stack.c_str(), what);
-  ++g_failures;
+void FailRun(const char* phase, uint64_t run, const char* what) {
+  Fail("%s run %llu [stack=%s]: %s", phase,
+       static_cast<unsigned long long>(run),
+       g_stack.empty() ? "plain" : g_stack.c_str(), what);
 }
 
-// Builds the --stack composition over `base`.  The striping layer splits
-// the SAME underlying device into two partition-view members (the power cut
-// stays atomic across all stripes, as it would be for two platters behind
-// one controller).
-ComPtr<BlkIo> ApplyStack(ComPtr<BlkIo> base, trace::TraceEnv* tenv) {
-  ComPtr<BlkIo> top = std::move(base);
-  size_t pos = 0;
-  while (pos < g_stack.size()) {
-    size_t comma = g_stack.find(',', pos);
-    size_t end = comma == std::string::npos ? g_stack.size() : comma;
-    std::string layer = g_stack.substr(pos, end - pos);
-    pos = end + 1;
-    if (layer == "stripe") {
-      off_t64 size = 0;
-      top->GetSize(&size);
-      uint64_t half = (size / 512) / 2;
-      Partition lo{.start_sector = 0, .sector_count = half};
-      Partition hi{.start_sector = half, .sector_count = half};
-      std::vector<ComPtr<BlkIo>> members;
-      members.push_back(MakePartitionView(top.get(), lo));
-      members.push_back(MakePartitionView(top.get(), hi));
-      // Unit = 2048 rounded up to the member block size (a cache layer
-      // below the stripe presents 4 KiB blocks).
-      uint32_t bs = members[0]->GetBlockSize();
-      uint32_t unit = (2048 + bs - 1) / bs * bs;
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::StripeBlkIo::Create(std::move(members), unit, tenv).get());
-    } else if (layer == "checksum") {
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::ChecksumBlkIo::Create(top.get(), tenv).get());
-    } else if (layer == "cache") {
-      top = ComPtr<BlkIo>::FromQuery(
-          fs::CacheBlkIo::Create(top.get(), 4096, 64, tenv).get());
-    } else {
-      std::fprintf(stderr, "unknown stack layer: %s\n", layer.c_str());
-      std::exit(2);
-    }
-  }
-  return top;
-}
-
-using Aggregate = std::map<std::string, uint64_t>;
 // Root-namespace model: file name -> content (kDirMarker for directories).
 using Model = std::map<std::string, std::string>;
-
-void MergeSnapshot(const trace::CounterSnapshot& snap, Aggregate* agg) {
-  for (const auto& [name, value] : snap) {
-    (*agg)[name] += value;
-  }
-}
-
-uint8_t PatternByte(uint64_t salt, size_t i) {
-  return static_cast<uint8_t>(salt * 131 + i * 29 + (i >> 9));
-}
 
 std::string PatternContent(uint64_t salt, size_t bytes) {
   std::string content(bytes, '\0');
@@ -288,7 +228,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
   linuxdev::InitLinuxIde(fdev, &machine, &registry);
   auto device = registry.LookupByName("hda");
   ComPtr<BlkIo> blkio =
-      ApplyStack(ComPtr<BlkIo>::FromQuery(device.get()), &tenv);
+      ApplyStack(ComPtr<BlkIo>::FromQuery(device.get()), g_stack, &tenv);
 
   CaseResult result;
   WorkloadTrace t;
@@ -296,7 +236,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
     fs::MkfsOptions mkfs;
     mkfs.journal_blocks = journaled ? fs::MkfsOptions::kAutoJournal : 0;
     if (!Ok(fs::Mkfs(blkio.get(), mkfs))) {
-      Fail(phase, run_id, "mkfs failed on a healthy disk");
+      FailRun(phase, run_id, "mkfs failed on a healthy disk");
       return;
     }
     // Everything before this point (the formatted image) is durable; the
@@ -306,7 +246,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
     mount.trace = &tenv;
     FileSystem* raw = nullptr;
     if (!Ok(fs::Offs::Mount(blkio.get(), mount, &raw))) {
-      Fail(phase, run_id, "mount failed on a healthy disk");
+      FailRun(phase, run_id, "mount failed on a healthy disk");
       return;
     }
     t.mount_ok = true;
@@ -323,7 +263,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
     }
   });
   if (sim.Run(600 * kNsPerSec) != Simulation::RunResult::kAllDone) {
-    Fail(phase, run_id, "workload deadlocked or timed out");
+    FailRun(phase, run_id, "workload deadlocked or timed out");
     return result;
   }
   result.cut_fired = disk->powered_off();
@@ -335,7 +275,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
   if (arm_at == 0) {
     // Probe run: no crash to recover from; just sanity-check completion.
     if (!t.finished) {
-      Fail(phase, run_id, "uncut probe run did not complete");
+      FailRun(phase, run_id, "uncut probe run did not complete");
     }
     MergeSnapshot(tenv.registry.Snapshot(), agg);
     return result;
@@ -344,7 +284,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
   // Host-side recovery of the post-crash image, through the same stack.
   auto post_mem = MemBlkIo::CreateFrom(disk->raw(), disk->raw_size(), 512);
   ComPtr<BlkIo> post =
-      ApplyStack(ComPtr<BlkIo>::FromQuery(post_mem.get()), &tenv);
+      ApplyStack(ComPtr<BlkIo>::FromQuery(post_mem.get()), g_stack, &tenv);
   fs::FsckOptions fsck_options;
   fsck_options.replay_journal = true;
   fs::FsckReport report = fs::Fsck(post.get(), fsck_options);
@@ -374,7 +314,7 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
       MergeSnapshot(tenv.registry.Snapshot(), agg);
       fs->Unmount();
     } else if (expect_consistent) {
-      Fail(phase, run_id, "post-crash remount failed after successful fsck");
+      FailRun(phase, run_id, "post-crash remount failed after successful fsck");
     }
   } else {
     MergeSnapshot(tenv.registry.Snapshot(), agg);
@@ -382,14 +322,14 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
 
   if (expect_consistent) {
     if (!result.consistent) {
-      Fail(phase, run_id, "post-crash volume failed fsck after replay");
+      FailRun(phase, run_id, "post-crash volume failed fsck after replay");
       for (const std::string& p : report.problems) {
         std::printf("      fsck: %s\n", p.c_str());
       }
     } else if (!result.state_valid) {
-      Fail(phase, run_id,
-           "recovered state matches no legal operation boundary "
-           "(lost acknowledged data or exposed a partial transaction)");
+      FailRun(phase, run_id,
+              "recovered state matches no legal operation boundary "
+              "(lost acknowledged data or exposed a partial transaction)");
     }
   }
   return result;
@@ -419,7 +359,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
 
   world.sim().Spawn("fs-server", [&] {
     if (!Ok(fs::Mkfs(blkio.get()))) {
-      Fail("tcp", run_id, "mkfs failed");
+      FailRun("tcp", run_id, "mkfs failed");
       return;
     }
     disk->EnableWriteCache(true);
@@ -427,7 +367,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
     mount.trace = &fs_host.trace;
     FileSystem* raw = nullptr;
     if (!Ok(fs::Offs::Mount(blkio.get(), mount, &raw))) {
-      Fail("tcp", run_id, "mount failed");
+      FailRun("tcp", run_id, "mount failed");
       return;
     }
     mount_ok = true;
@@ -441,7 +381,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
     ComPtr<Socket> listener = fs_host.MakeSocket(SockType::kStream);
     if (!Ok(listener->Bind(SockAddr{kInetAny, kPort})) ||
         !Ok(listener->Listen(1))) {
-      Fail("tcp", run_id, "listen failed");
+      FailRun("tcp", run_id, "listen failed");
       return;
     }
     listening = true;
@@ -496,7 +436,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
   });
 
   if (world.sim().Run(1800 * kNsPerSec) != Simulation::RunResult::kAllDone) {
-    Fail("tcp", run_id, "tcp phase deadlocked or timed out");
+    FailRun("tcp", run_id, "tcp phase deadlocked or timed out");
     return;
   }
   if (!mount_ok) {
@@ -513,7 +453,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
   fsck_options.replay_journal = true;
   fs::FsckReport report = fs::Fsck(post.get(), fsck_options);
   if (!report.superblock_valid || !report.problems.empty()) {
-    Fail("tcp", run_id, "post-crash volume failed fsck after replay");
+    FailRun("tcp", run_id, "post-crash volume failed fsck after replay");
     return;
   }
   trace::TraceEnv vtenv;
@@ -521,7 +461,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
   mount.trace = &vtenv;
   FileSystem* raw = nullptr;
   if (!Ok(fs::Offs::Mount(post.get(), mount, &raw))) {
-    Fail("tcp", run_id, "post-crash remount failed");
+    FailRun("tcp", run_id, "post-crash remount failed");
     return;
   }
   ComPtr<FileSystem> fs(raw);
@@ -530,7 +470,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
   ComPtr<File> file;
   if (!Ok(root->Lookup("tcpdata", file.Receive()))) {
     if (acked_bytes != 0) {
-      Fail("tcp", run_id, "acknowledged stream file vanished");
+      FailRun("tcp", run_id, "acknowledged stream file vanished");
     }
   } else {
     FileStat stat;
@@ -548,8 +488,9 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
       }
     }
     if (!ok) {
-      Fail("tcp", run_id, "recovered stream prefix shorter than the "
-                          "acknowledged bytes or corrupted");
+      FailRun("tcp", run_id,
+              "recovered stream prefix shorter than the acknowledged bytes "
+              "or corrupted");
     } else {
       (*agg)["campaign.tcp.streams_verified"] += 1;
       (*agg)["campaign.tcp.acked_bytes"] += acked_bytes;
@@ -570,12 +511,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
 // Aggregate acceptance.
 // ---------------------------------------------------------------------------
 
-struct Requirement {
-  const char* what;
-  std::vector<const char*> any_of;
-};
-
-int CheckAggregate(const Aggregate& agg) {
+void CheckAggregate(const Aggregate& agg) {
   const std::vector<Requirement> required = {
       {"journal transactions replayed at mount",
        {"fs.journal.replays", "campaign.crash.replayed_txns"}},
@@ -589,25 +525,8 @@ int CheckAggregate(const Aggregate& agg) {
       {"ablation cuts detected by fsck or the model",
        {"campaign.ablation.detected"}},
   };
-  int missing = 0;
   std::printf("\naggregate durability checklist:\n");
-  for (const Requirement& req : required) {
-    uint64_t sum = 0;
-    for (const char* name : req.any_of) {
-      auto it = agg.find(name);
-      if (it != agg.end()) {
-        sum += it->second;
-      }
-    }
-    std::printf("  %-46s %12llu %s\n", req.what,
-                static_cast<unsigned long long>(sum),
-                sum != 0 ? "ok" : "MISSING");
-    if (sum == 0) {
-      std::printf("FAIL: aggregate: no evidence that %s\n", req.what);
-      ++missing;
-    }
-  }
-  return missing;
+  CheckEvidence(agg, required, 46);
 }
 
 // The local phases (probe, exhaustive, lossy, ablation) for ONE stack
@@ -634,7 +553,7 @@ void RunLocalPhases(uint64_t seeds, uint64_t seed_base, uint64_t stride,
               static_cast<unsigned long long>(stride),
               static_cast<unsigned long long>(seeds));
   if (total == 0) {
-    Fail("probe", 0, "workload issued no writes");
+    FailRun("probe", 0, "workload issued no writes");
   }
   if (totals->durable_writes == 0) {
     totals->durable_writes = total;
@@ -651,7 +570,7 @@ void RunLocalPhases(uint64_t seeds, uint64_t seed_base, uint64_t stride,
     fired_a += r.cut_fired ? 1 : 0;
   }
   if (runs_a != 0 && fired_a == 0) {
-    Fail("exhaustive", 0, "no cut ever fired");
+    FailRun("exhaustive", 0, "no cut ever fired");
   }
   (*agg)["campaign.crash.exhaustive_runs"] += runs_a;
   totals->runs_a += runs_a;
@@ -698,8 +617,6 @@ void RunLocalPhases(uint64_t seeds, uint64_t seed_base, uint64_t stride,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: crash_campaign [--seeds N] [--seed-base B] [--stride K]
-  //                        [--json <path>] [--stack <spec>|matrix]
   // --seed-base shifts the whole seeded portion of the sweep (lossy, tcp,
   // ablation) onto disjoint RNG streams, so a second CI job adds coverage
   // instead of repeating the first.  --stack mounts the filesystem on a
@@ -711,25 +628,13 @@ int main(int argc, char** argv) {
   uint64_t stride = 1;
   const char* json_path = nullptr;
   std::string stack_arg;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--stride" && i + 1 < argc) {
-      stride = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--stack" && i + 1 < argc) {
-      stack_arg = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: crash_campaign [--seeds N] [--seed-base B] "
-                   "[--stride K] [--json <path>] [--stack <spec>|matrix]\n");
-      return 2;
-    }
-  }
+  Flags("crash_campaign")
+      .Add("--seeds", &seeds)
+      .Add("--seed-base", &seed_base, "B")
+      .Add("--stride", &stride, "K")
+      .Add("--json", &json_path, "<path>")
+      .Add("--stack", &stack_arg, "<spec>|matrix")
+      .ParseOrExit(argc, argv);
   if (stride == 0) {
     stride = 1;
   }
@@ -775,7 +680,7 @@ int main(int argc, char** argv) {
   }
   agg["campaign.tcp.runs"] += tcp_runs;
 
-  g_failures += CheckAggregate(agg);
+  CheckAggregate(agg);
 
   std::printf("\ncrash campaign: %llu exhaustive + %llu lossy + %llu tcp + "
               "%llu ablation runs, %llu ablation corruptions detected, "
@@ -784,33 +689,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(runs_b),
               static_cast<unsigned long long>(tcp_runs),
               static_cast<unsigned long long>(ablation_runs),
-              static_cast<unsigned long long>(detected), g_failures);
+              static_cast<unsigned long long>(detected), Failures());
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"crash_campaign\",\n");
-    std::fprintf(f, "  \"seeds\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"stride\": %llu,\n",
-                 static_cast<unsigned long long>(stride));
-    std::fprintf(f, "  \"durable_writes_per_run\": %llu,\n",
-                 static_cast<unsigned long long>(totals.durable_writes));
-    std::fprintf(f, "  \"stack_sweeps\": %zu,\n", stacks.size());
-    std::fprintf(f, "  \"failures\": %d,\n", g_failures);
-    std::fprintf(f, "  \"counters\": {\n");
-    size_t remaining = agg.size();
-    for (const auto& [name, value] : agg) {
-      std::fprintf(f, "    \"%s\": %llu%s\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   --remaining != 0 ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
+  Report report;
+  report.Field("bench", "crash_campaign")
+      .Field("seeds", seeds)
+      .Field("stride", stride)
+      .Field("durable_writes_per_run", totals.durable_writes)
+      .Field("stack_sweeps", stacks.size())
+      .Field("failures", Failures())
+      .Object("counters");
+  for (const auto& [name, value] : agg) {
+    report.Field(name, value);
   }
-
-  return g_failures == 0 ? 0 : 1;
+  report.End();
+  return Finish(report, json_path);
 }

@@ -26,13 +26,10 @@
 // exits nonzero.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/amm/amm.h"
 #include "src/dev/linux/linux_ide.h"
 #include "src/fault/fault.h"
@@ -42,6 +39,7 @@
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
@@ -49,28 +47,13 @@ namespace {
 constexpr uint16_t kPort = 7000;
 constexpr size_t kTransferBytes = 200 * 1024;
 
-int g_failures = 0;
-
-void Fail(uint64_t seed, const char* what) {
-  std::printf("FAIL: seed %llu: %s\n", static_cast<unsigned long long>(seed),
-              what);
-  ++g_failures;
+void FailSeed(uint64_t seed, const char* what) {
+  Fail("seed %llu: %s", static_cast<unsigned long long>(seed), what);
 }
 
-using Aggregate = std::map<std::string, uint64_t>;
-
-void MergeSnapshot(const trace::CounterSnapshot& snap, Aggregate* agg) {
-  for (const auto& [name, value] : snap) {
-    // fault.* fire counts come from MergeFires (the env outlives the hosts'
-    // registries and is the authoritative copy); skip them here so the two
-    // sources do not double count.
-    if (name.rfind("fault.", 0) == 0) {
-      continue;
-    }
-    (*agg)[name] += value;
-  }
-}
-
+// The authoritative fault.* fire counts: the env outlives the hosts'
+// registries, so registry snapshots are merged without their fault.*
+// counters and the two sources never double count.
 void MergeFires(const fault::FaultEnv& env, Aggregate* agg) {
   env.ForEachSite([agg](const char* site, const fault::FaultSpec&, bool,
                         uint64_t, uint64_t fires) {
@@ -83,10 +66,6 @@ fault::FaultSpec Prob(uint32_t pct, uint64_t arg = 0) {
   spec.probability_percent = pct;
   spec.arg = arg;
   return spec;
-}
-
-uint8_t PatternByte(uint64_t seed, size_t i) {
-  return static_cast<uint8_t>(seed * 131 + i * 29 + (i >> 9));
 }
 
 // ---------------------------------------------------------------------------
@@ -200,7 +179,7 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
   fenv.DisarmAll();
 
   if (result != Simulation::RunResult::kAllDone) {
-    Fail(seed, result == Simulation::RunResult::kDeadlock
+    FailSeed(seed, result == Simulation::RunResult::kDeadlock
                    ? "tcp phase deadlocked"
                    : "tcp phase hit the simulated-time deadline");
   } else if (server_error || client_error) {
@@ -210,11 +189,11 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
   } else {
     bool intact = client_done && got.size() == kTransferBytes;
     if (!intact) {
-      Fail(seed, "tcp transfer truncated without an error");
+      FailSeed(seed, "tcp transfer truncated without an error");
     }
     for (size_t i = 0; intact && i < got.size(); ++i) {
       if (got[i] != PatternByte(seed, i)) {
-        Fail(seed, "SILENT CORRUPTION: tcp payload mismatch");
+        FailSeed(seed, "SILENT CORRUPTION: tcp payload mismatch");
         intact = false;
       }
     }
@@ -236,8 +215,8 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
         a.trace.registry.Value("nic.rx.coalesce.irqs");
   }
 
-  MergeSnapshot(a.trace.registry.Snapshot(), agg);
-  MergeSnapshot(b.trace.registry.Snapshot(), agg);
+  MergeSnapshot(a.trace.registry.Snapshot(), agg, "fault.");
+  MergeSnapshot(b.trace.registry.Snapshot(), agg, "fault.");
   MergeFires(fenv, agg);
 }
 
@@ -270,13 +249,13 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
 
   sim.Spawn("disk-workload", [&] {
     if (!Ok(fs::Mkfs(blkio.get()))) {
-      Fail(seed, "mkfs failed on a clean disk");
+      FailSeed(seed, "mkfs failed on a clean disk");
       phase_error = true;
       return;
     }
     FileSystem* raw = nullptr;
     if (!Ok(fs::Offs::Mount(blkio.get(), &raw))) {
-      Fail(seed, "mount failed on a clean disk");
+      FailSeed(seed, "mount failed on a clean disk");
       phase_error = true;
       return;
     }
@@ -330,18 +309,18 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
       std::snprintf(name, sizeof(name), "file%d", f);
       ComPtr<File> file;
       if (!Ok(root->Lookup(name, file.Receive()))) {
-        Fail(seed, "SILENT CORRUPTION: written file vanished");
+        FailSeed(seed, "SILENT CORRUPTION: written file vanished");
         continue;
       }
       auto* back = static_cast<uint8_t*>(md.Alloc(kFileBytes, "campaign.readback"));
       size_t actual = 0;
       Error err = file->Read(back, 0, kFileBytes, &actual);
       if (!Ok(err) || actual != kFileBytes) {
-        Fail(seed, "readback of a committed file failed after disarm");
+        FailSeed(seed, "readback of a committed file failed after disarm");
       } else {
         for (size_t i = 0; i < kFileBytes; ++i) {
           if (back[i] != PatternByte(seed + f, i)) {
-            Fail(seed, "SILENT CORRUPTION: file payload mismatch");
+            FailSeed(seed, "SILENT CORRUPTION: file payload mismatch");
             break;
           }
         }
@@ -356,7 +335,7 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
   Simulation::RunResult result = sim.Run(600 * kNsPerSec);
   fenv.DisarmAll();
   if (result != Simulation::RunResult::kAllDone && !phase_error) {
-    Fail(seed, result == Simulation::RunResult::kDeadlock
+    FailSeed(seed, result == Simulation::RunResult::kDeadlock
                    ? "disk phase deadlocked"
                    : "disk phase hit the simulated-time deadline");
   }
@@ -371,25 +350,25 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
   fenv.Arm("amm.alloc", nth);
   uint64_t addr = 0;
   if (amm.Allocate(&addr, 4096, Amm::kAllocated) != Error::kNoSpace) {
-    Fail(seed, "amm did not surface the injected allocation failure");
+    FailSeed(seed, "amm did not surface the injected allocation failure");
   } else if (!Ok(amm.Allocate(&addr, 4096, Amm::kAllocated))) {
-    Fail(seed, "amm retry after injected failure did not succeed");
+    FailSeed(seed, "amm retry after injected failure did not succeed");
   } else {
     (*agg)["campaign.amm.recoveries"] += 1;
   }
   fenv.DisarmAll();
 
   if (md.CheckAll() != 0) {
-    Fail(seed, "memdebug fence check found faults");
+    FailSeed(seed, "memdebug fence check found faults");
   }
   if (md.DumpLeaks() != 0) {
-    Fail(seed, "memdebug found leaked workload buffers");
+    FailSeed(seed, "memdebug found leaked workload buffers");
   }
   if (md.faults_detected() != 0) {
-    Fail(seed, "memdebug detected allocation faults during the workload");
+    FailSeed(seed, "memdebug detected allocation faults during the workload");
   }
 
-  MergeSnapshot(tenv.registry.Snapshot(), agg);
+  MergeSnapshot(tenv.registry.Snapshot(), agg, "fault.");
   MergeFires(fenv, agg);
 }
 
@@ -398,12 +377,7 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
 // recovery machinery must have acted at least once across the sweep.
 // ---------------------------------------------------------------------------
 
-struct Requirement {
-  const char* what;
-  std::vector<const char*> any_of;  // sum over these must be nonzero
-};
-
-int CheckAggregate(const Aggregate& agg, uint64_t seeds) {
+void CheckAggregate(const Aggregate& agg, uint64_t seeds) {
   const std::vector<Requirement> required = {
       {"nic tx-drop faults fired", {"fault.nic.tx.drop"}},
       {"nic rx-corrupt faults fired", {"fault.nic.rx.corrupt"}},
@@ -437,44 +411,20 @@ int CheckAggregate(const Aggregate& agg, uint64_t seeds) {
       {"amm retried after injected OOM", {"campaign.amm.recoveries"}},
   };
 
-  int missing = 0;
   std::printf("\naggregate recovery checklist (%llu seeds):\n",
               static_cast<unsigned long long>(seeds));
-  for (const Requirement& req : required) {
-    uint64_t sum = 0;
-    for (const char* name : req.any_of) {
-      auto it = agg.find(name);
-      if (it != agg.end()) {
-        sum += it->second;
-      }
-    }
-    std::printf("  %-42s %12llu %s\n", req.what,
-                static_cast<unsigned long long>(sum), sum != 0 ? "ok" : "MISSING");
-    if (sum == 0) {
-      std::printf("FAIL: aggregate: no evidence that %s\n", req.what);
-      ++missing;
-    }
-  }
-  return missing;
+  CheckEvidence(agg, required, 42);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: fault_campaign [--seeds N] [--json <path>]
   uint64_t seeds = 16;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: fault_campaign [--seeds N] [--json <path>]\n");
-      return 2;
-    }
-  }
+  Flags("fault_campaign")
+      .Add("--seeds", &seeds)
+      .Add("--json", &json_path, "<path>")
+      .ParseOrExit(argc, argv);
 
   std::printf("fault campaign: %llu seeds, tcp + disk phases\n",
               static_cast<unsigned long long>(seeds));
@@ -484,35 +434,23 @@ int main(int argc, char** argv) {
     RunDiskPhase(seed, &agg);
   }
 
-  g_failures += CheckAggregate(agg, seeds);
+  CheckAggregate(agg, seeds);
 
   std::printf("\ncampaign: %llu seeds swept, %llu transfers ok, "
               "%llu files verified, %d failures\n",
               static_cast<unsigned long long>(seeds),
               static_cast<unsigned long long>(agg["campaign.tcp.transfers_ok"]),
               static_cast<unsigned long long>(agg["campaign.fs.files_verified"]),
-              g_failures);
+              Failures());
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fault_campaign\",\n");
-    std::fprintf(f, "  \"seeds\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"failures\": %d,\n", g_failures);
-    std::fprintf(f, "  \"counters\": {\n");
-    size_t remaining = agg.size();
-    for (const auto& [name, value] : agg) {
-      std::fprintf(f, "    \"%s\": %llu%s\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   --remaining != 0 ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
+  Report report;
+  report.Field("bench", "fault_campaign")
+      .Field("seeds", seeds)
+      .Field("failures", Failures())
+      .Object("counters");
+  for (const auto& [name, value] : agg) {
+    report.Field(name, value);
   }
-
-  return g_failures == 0 ? 0 : 1;
+  report.End();
+  return Finish(report, json_path);
 }

@@ -14,16 +14,17 @@
 //     and the OSKit glue overheads actually bite, compared against the
 //     same transfer driven by native C code.
 
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/vm/kvm.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
@@ -249,7 +250,8 @@ RunResult RunVmTransfer(bool vm_sends, size_t total_bytes, bool wire_limited) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  size_t megabytes = argc > 1 ? std::strtoul(argv[1], nullptr, 0) : 24;
+  size_t megabytes = 24;
+  Flags("fig_javapc").Count(&megabytes, "megabytes").ParseOrExit(argc, argv);
   size_t total = megabytes * 1024 * 1024;
 
   std::printf("Java/PC network throughput (paper §6.2.6): the language "
@@ -275,14 +277,13 @@ int main(int argc, char** argv) {
 
   double ratio = send_sw.ModelMbps() / recv_sw.ModelMbps();
   std::printf("\nShape checks (P6-scaled model, from real work counters):\n");
-  std::printf("  send/receive ratio = %.2f (paper: 59/78 = 0.76 — send pays "
-              "the glue copy: %llu bytes)  %s\n",
-              ratio,
-              static_cast<unsigned long long>(send_sw.glue_copied_bytes),
-              ratio < 0.95 ? "PASS" : "FAIL");
+  Check(ratio < 0.95,
+        "  send/receive ratio = %.2f (paper: 59/78 = 0.76 — send pays "
+        "the glue copy: %llu bytes)",
+        ratio, static_cast<unsigned long long>(send_sw.glue_copied_bytes));
   std::printf("  the wire saturates in both directions (sim): %.0f / %.0f "
               "Mbit/s of 100\n", recv_wire.SimMbps(), send_wire.SimMbps());
   std::printf("  'mature components with flexible interfaces': the VM rides "
               "the same tuned BSD stack as C code.\n");
-  return 0;
+  return ExitCode();
 }

@@ -35,9 +35,9 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_ide.h"
@@ -50,6 +50,7 @@
 #include "src/vm/kvm.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 using secure::Budget;
 using secure::NetGuard;
@@ -137,48 +138,6 @@ int64_t QueryArg(const std::string& target, const std::string& key) {
     pos = end + 1;
   }
   return 0;
-}
-
-SocketExt* QueryExt(Socket* s) {
-  void* extp = nullptr;
-  if (!Ok(s->Query(SocketExt::kIid, &extp))) {
-    return nullptr;
-  }
-  return static_cast<SocketExt*>(extp);
-}
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  size_t idx = static_cast<size_t>(p * (sorted.size() - 1));
-  return sorted[idx];
-}
-
-// Blocking request helper: sends `wire`, parses `expected` responses.
-// Returns false (instead of asserting) so callers can count failures.
-bool Exchange(Socket* sock, const std::string& wire, size_t expected,
-              std::vector<http::Response>* out) {
-  size_t n = 0;
-  if (!Ok(sock->Send(wire.data(), wire.size(), &n)) || n != wire.size()) {
-    return false;
-  }
-  http::ResponseParser parser;
-  char buf[4096];
-  while (out->size() < expected) {
-    Error err = sock->Recv(buf, sizeof(buf), &n);
-    if (!Ok(err) || n == 0) {
-      return false;
-    }
-    parser.Feed(buf, n);
-    if (parser.status() == http::ParseStatus::kError) {
-      return false;
-    }
-    while (parser.HasResponse()) {
-      out->push_back(parser.TakeResponse());
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -897,30 +856,15 @@ uint64_t AttrValue(const PhaseResult& r, const char* name) {
 int main(int argc, char** argv) {
   PhaseOptions main_opt;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--hosts" && i + 1 < argc) {
-      main_opt.hosts = std::atoi(argv[++i]);
-    } else if (arg == "--holders" && i + 1 < argc) {
-      main_opt.holders = std::atoi(argv[++i]);
-    } else if (arg == "--churn" && i + 1 < argc) {
-      main_opt.churn = std::atoi(argv[++i]);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      main_opt.holder_requests = std::atoi(argv[++i]);
-    } else if (arg == "--mean-us" && i + 1 < argc) {
-      main_opt.mean_arrival_us = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      main_opt.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: http_campaign [--hosts N] [--holders N] "
-                   "[--churn N] [--requests N] [--mean-us U] [--seed S] "
-                   "[--json <path>]\n");
-      return 2;
-    }
-  }
+  Flags("http_campaign")
+      .Add("--hosts", &main_opt.hosts)
+      .Add("--holders", &main_opt.holders)
+      .Add("--churn", &main_opt.churn)
+      .Add("--requests", &main_opt.holder_requests)
+      .Add("--mean-us", &main_opt.mean_arrival_us, "U")
+      .Add("--seed", &main_opt.seed, "S")
+      .Add("--json", &json_path, "<path>")
+      .ParseOrExit(argc, argv);
   const int held_total = main_opt.hosts * main_opt.holders;
 
   std::printf("HTTP campaign: %d loadgen hosts x (%d holders x %d reqs + "
@@ -1009,157 +953,121 @@ int main(int argc, char** argv) {
   abl_row("no-sg", nosg_r);
   abl_row("no-napi", nonapi_r);
 
-  bool fail = false;
   std::printf("\nShape checks:\n");
 
-  bool ok = main_r.completed == main_r.expected && main_r.failures == 0;
-  fail |= !ok;
-  std::printf("  completion:   %d/%d responses, %d failures  %s\n",
-              main_r.completed, main_r.expected, main_r.failures,
-              ok ? "PASS" : "FAIL");
+  Check(main_r.completed == main_r.expected && main_r.failures == 0,
+        "  completion:   %d/%d responses, %d failures", main_r.completed,
+        main_r.expected, main_r.failures);
 
-  ok = main_r.established_peak >= static_cast<uint64_t>(held_total);
-  fail |= !ok;
-  std::printf("  concurrency:  peak %llu >= %d held-open  %s\n",
-              static_cast<unsigned long long>(main_r.established_peak),
-              held_total, ok ? "PASS" : "FAIL");
+  Check(main_r.established_peak >= static_cast<uint64_t>(held_total),
+        "  concurrency:  peak %llu >= %d held-open",
+        static_cast<unsigned long long>(main_r.established_peak), held_total);
   if (held_total >= 1000) {
-    ok = main_r.established_peak >= 1000;
-    fail |= !ok;
-    std::printf("  kiloconn:     peak %llu >= 1000 concurrent  %s\n",
-                static_cast<unsigned long long>(main_r.established_peak),
-                ok ? "PASS" : "FAIL");
+    Check(main_r.established_peak >= 1000,
+          "  kiloconn:     peak %llu >= 1000 concurrent",
+          static_cast<unsigned long long>(main_r.established_peak));
   } else {
     std::printf("  kiloconn:     SKIPPED (reduced scale: %d < 1000)\n",
                 held_total);
   }
 
-  ok = main_r.pipelined > 0 && main_r.read_paused > 0;
-  fail |= !ok;
-  std::printf("  mixed load:   %llu pipelined, %llu read pauses  %s\n",
-              static_cast<unsigned long long>(main_r.pipelined),
-              static_cast<unsigned long long>(main_r.read_paused),
-              ok ? "PASS" : "FAIL");
+  Check(main_r.pipelined > 0 && main_r.read_paused > 0,
+        "  mixed load:   %llu pipelined, %llu read pauses",
+        static_cast<unsigned long long>(main_r.pipelined),
+        static_cast<unsigned long long>(main_r.read_paused));
 
   // The attribution table really attributes: every response got a request
   // span, the selector wait accrued real simulated time, and the FS path
   // was exercised.
   uint64_t span_reqs = AttrValue(main_r, "http.span.request.count");
-  ok = span_reqs == main_r.responses &&
-       AttrValue(main_r, "http.span.wait.self_ns") > 0 &&
-       AttrValue(main_r, "http.span.fs_read.count") > 0 &&
-       AttrValue(main_r, "http.span.fs_read.self_ns") > 0 &&
-       AttrValue(main_r, "http.span.dyn.count") > 0;
-  fail |= !ok;
-  std::printf("  attribution:  %llu request spans == %llu responses, "
-              "wait self %llu ns  %s\n",
-              static_cast<unsigned long long>(span_reqs),
-              static_cast<unsigned long long>(main_r.responses),
-              static_cast<unsigned long long>(
-                  AttrValue(main_r, "http.span.wait.self_ns")),
-              ok ? "PASS" : "FAIL");
+  Check(span_reqs == main_r.responses &&
+            AttrValue(main_r, "http.span.wait.self_ns") > 0 &&
+            AttrValue(main_r, "http.span.fs_read.count") > 0 &&
+            AttrValue(main_r, "http.span.fs_read.self_ns") > 0 &&
+            AttrValue(main_r, "http.span.dyn.count") > 0,
+        "  attribution:  %llu request spans == %llu responses, "
+        "wait self %llu ns",
+        static_cast<unsigned long long>(span_reqs),
+        static_cast<unsigned long long>(main_r.responses),
+        static_cast<unsigned long long>(
+            AttrValue(main_r, "http.span.wait.self_ns")));
 
   // Zero-copy ablation: SG carried the main phase, the flattened run
   // copied every response byte at least once, the no-NAPI run took ~1
   // interrupt per frame where the NAPI run coalesced.
-  ok = main_r.sg_frames > 0 && main_r.napi_polls > 0 &&
-       nosg_r.sg_frames == 0 && copied_per_byte(nosg_r) >= 1.0 &&
-       copied_per_byte(base_r) < 0.5 && nonapi_r.napi_polls == 0 &&
-       irqs_per_frame(nonapi_r) > irqs_per_frame(base_r);
-  fail |= !ok;
-  std::printf("  ablations:    copied/byte %.3f(base) %.3f(no-sg), "
-              "irqs/frm %.3f(base) %.3f(no-napi)  %s\n",
-              copied_per_byte(base_r), copied_per_byte(nosg_r),
-              irqs_per_frame(base_r), irqs_per_frame(nonapi_r),
-              ok ? "PASS" : "FAIL");
+  Check(main_r.sg_frames > 0 && main_r.napi_polls > 0 &&
+            nosg_r.sg_frames == 0 && copied_per_byte(nosg_r) >= 1.0 &&
+            copied_per_byte(base_r) < 0.5 && nonapi_r.napi_polls == 0 &&
+            irqs_per_frame(nonapi_r) > irqs_per_frame(base_r),
+        "  ablations:    copied/byte %.3f(base) %.3f(no-sg), "
+        "irqs/frm %.3f(base) %.3f(no-napi)",
+        copied_per_byte(base_r), copied_per_byte(nosg_r),
+        irqs_per_frame(base_r), irqs_per_frame(nonapi_r));
 
-  ok = main_r.pcb_scan_full == 0 && main_r.listen_overflows == 0;
-  fail |= !ok;
-  std::printf("  internals:    %llu full PCB scans, %llu listen overflows  "
-              "%s\n",
-              static_cast<unsigned long long>(main_r.pcb_scan_full),
-              static_cast<unsigned long long>(main_r.listen_overflows),
-              ok ? "PASS" : "FAIL");
+  Check(main_r.pcb_scan_full == 0 && main_r.listen_overflows == 0,
+        "  internals:    %llu full PCB scans, %llu listen overflows",
+        static_cast<unsigned long long>(main_r.pcb_scan_full),
+        static_cast<unsigned long long>(main_r.listen_overflows));
 
-  ok = sec.drained && sec.loris_denials > 0 &&
-       sec.loris_held <= 8 &&
-       sec.victim_completed == sec.victim_expected;
-  fail |= !ok;
-  std::printf("  slow-loris:   %llu denials, %d held (budget 8), victims "
-              "%d/%d, p99 %.1f us  %s\n",
-              static_cast<unsigned long long>(sec.loris_denials),
-              sec.loris_held, sec.victim_completed, sec.victim_expected,
-              sec.victim_p99_us, ok ? "PASS" : "FAIL");
+  Check(sec.drained && sec.loris_denials > 0 && sec.loris_held <= 8 &&
+            sec.victim_completed == sec.victim_expected,
+        "  slow-loris:   %llu denials, %d held (budget 8), victims "
+        "%d/%d, p99 %.1f us",
+        static_cast<unsigned long long>(sec.loris_denials), sec.loris_held,
+        sec.victim_completed, sec.victim_expected, sec.victim_p99_us);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"http\",\n");
-    std::fprintf(f, "  \"hosts\": %d,\n  \"held_total\": %d,\n",
-                 main_opt.hosts, held_total);
-    std::fprintf(f, "  \"expected\": %d,\n  \"completed\": %d,\n"
-                 "  \"failures\": %d,\n",
-                 main_r.expected, main_r.completed, main_r.failures);
-    std::fprintf(f, "  \"established_peak\": %llu,\n",
-                 static_cast<unsigned long long>(main_r.established_peak));
-    std::fprintf(f, "  \"throughput_rps\": %.1f,\n", main_r.throughput_rps);
-    std::fprintf(f,
-                 "  \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, "
-                 "\"p999\": %.1f, \"max\": %.1f},\n",
-                 main_r.p50, main_r.p99, main_r.p999, main_r.pmax);
-    std::fprintf(f,
-                 "  \"server\": {\"requests\": %llu, \"responses\": %llu, "
-                 "\"pipelined\": %llu, \"read_paused\": %llu, "
-                 "\"bytes_out\": %llu, \"sg_frames\": %llu, "
-                 "\"napi_polls\": %llu, \"listen_overflows\": %llu, "
-                 "\"pcb_scan_full\": %llu},\n",
-                 static_cast<unsigned long long>(main_r.requests),
-                 static_cast<unsigned long long>(main_r.responses),
-                 static_cast<unsigned long long>(main_r.pipelined),
-                 static_cast<unsigned long long>(main_r.read_paused),
-                 static_cast<unsigned long long>(main_r.bytes_out),
-                 static_cast<unsigned long long>(main_r.sg_frames),
-                 static_cast<unsigned long long>(main_r.napi_polls),
-                 static_cast<unsigned long long>(main_r.listen_overflows),
-                 static_cast<unsigned long long>(main_r.pcb_scan_full));
-    std::fprintf(f, "  \"attribution\": {");
-    for (size_t i = 0; i < main_r.attribution.size(); ++i) {
-      std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ",
-                   main_r.attribution[i].first.c_str(),
-                   static_cast<unsigned long long>(
-                       main_r.attribution[i].second));
-    }
-    std::fprintf(f, "},\n");
-    auto abl_json = [&](const char* name, const PhaseResult& r, bool last) {
-      std::fprintf(f,
-                   "    \"%s\": {\"throughput_rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"copied_per_byte\": %.4f, \"irqs_per_frame\": %.4f, "
-                   "\"sg_frames\": %llu, \"napi_polls\": %llu}%s\n",
-                   name, r.throughput_rps, r.p50, copied_per_byte(r),
-                   irqs_per_frame(r),
-                   static_cast<unsigned long long>(r.sg_frames),
-                   static_cast<unsigned long long>(r.napi_polls),
-                   last ? "" : ",");
-    };
-    std::fprintf(f, "  \"ablations\": {\n");
-    abl_json("base", base_r, false);
-    abl_json("no_sg", nosg_r, false);
-    abl_json("no_napi", nonapi_r, true);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f,
-                 "  \"secure\": {\"loris_denials\": %llu, \"loris_held\": %d, "
-                 "\"victim_completed\": %d, \"victim_expected\": %d, "
-                 "\"victim_p99_us\": %.1f, \"drained\": %s}\n",
-                 static_cast<unsigned long long>(sec.loris_denials),
-                 sec.loris_held, sec.victim_completed, sec.victim_expected,
-                 sec.victim_p99_us, sec.drained ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  Report report;
+  report.Field("bench", "http")
+      .Field("hosts", main_opt.hosts)
+      .Field("held_total", held_total)
+      .Field("expected", main_r.expected)
+      .Field("completed", main_r.completed)
+      .Field("failures", main_r.failures)
+      .Field("established_peak", main_r.established_peak)
+      .Field("throughput_rps", main_r.throughput_rps, 1)
+      .Object("latency_us", Report::Layout::kInline)
+      .Field("p50", main_r.p50, 1)
+      .Field("p99", main_r.p99, 1)
+      .Field("p999", main_r.p999, 1)
+      .Field("max", main_r.pmax, 1)
+      .End()
+      .Object("server", Report::Layout::kInline)
+      .Field("requests", main_r.requests)
+      .Field("responses", main_r.responses)
+      .Field("pipelined", main_r.pipelined)
+      .Field("read_paused", main_r.read_paused)
+      .Field("bytes_out", main_r.bytes_out)
+      .Field("sg_frames", main_r.sg_frames)
+      .Field("napi_polls", main_r.napi_polls)
+      .Field("listen_overflows", main_r.listen_overflows)
+      .Field("pcb_scan_full", main_r.pcb_scan_full)
+      .End()
+      .Object("attribution", Report::Layout::kInline);
+  for (const auto& [name, value] : main_r.attribution) {
+    report.Field(name, value);
   }
-
-  return fail ? 1 : 0;
+  auto abl_json = [&](const char* name, const PhaseResult& r) {
+    report.Object(name, Report::Layout::kInline)
+        .Field("throughput_rps", r.throughput_rps, 1)
+        .Field("p50_us", r.p50, 1)
+        .Field("copied_per_byte", copied_per_byte(r), 4)
+        .Field("irqs_per_frame", irqs_per_frame(r), 4)
+        .Field("sg_frames", r.sg_frames)
+        .Field("napi_polls", r.napi_polls)
+        .End();
+  };
+  report.End().Object("ablations");
+  abl_json("base", base_r);
+  abl_json("no_sg", nosg_r);
+  abl_json("no_napi", nonapi_r);
+  report.End()
+      .Object("secure", Report::Layout::kInline)
+      .Field("loris_denials", sec.loris_denials)
+      .Field("loris_held", sec.loris_held)
+      .Field("victim_completed", sec.victim_completed)
+      .Field("victim_expected", sec.victim_expected)
+      .Field("victim_p99_us", sec.victim_p99_us, 1)
+      .Field("drained", sec.drained)
+      .End();
+  return Finish(report, json_path);
 }

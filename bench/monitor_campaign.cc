@@ -37,9 +37,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/com/memblkio.h"
 #include "src/fault/scribble.h"
 #include "src/fs/ffs.h"
@@ -49,6 +49,7 @@
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using fault::FaultSpec;
 using fault::ScribbleInjector;
 using secure::Budget;
@@ -327,36 +328,28 @@ void RunCampaign(bool enforce, uint64_t seed, const Options& opt,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      opt.seeds = std::atoi(argv[++i]);
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      opt.seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      opt.rounds = std::atoi(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: monitor_campaign [--seeds N] [--seed-base S] "
-                   "[--rounds R] [--json <path>]\n");
-      return 2;
-    }
-  }
+  Flags("monitor_campaign")
+      .Add("--seeds", &opt.seeds)
+      .Add("--seed-base", &opt.seed_base, "S")
+      .Add("--rounds", &opt.rounds, "R")
+      .Add("--json", &opt.json_path, "<path>")
+      .ParseOrExit(argc, argv);
 
   std::printf("Monitor campaign: %d victims x %d rounds, 4 scribble sites, "
               "%d seed(s) from %llu\n\n",
               kVictims, opt.rounds, opt.seeds,
               static_cast<unsigned long long>(opt.seed_base));
 
-  bool fail = false;
   uint64_t injected_total = 0;
   uint64_t caught_total = 0;
   uint64_t guarded_mismatches = 0;
   uint64_t ablation_landed_total = 0;
   int ablation_corrupt_seeds = 0;
-  std::vector<std::string> seed_json;
+  struct SeedRow {
+    uint64_t seed;
+    RunResult guard, ablate;
+  };
+  std::vector<SeedRow> rows;
 
   for (int s = 0; s < opt.seeds; ++s) {
     uint64_t seed = opt.seed_base + static_cast<uint64_t>(s);
@@ -377,67 +370,55 @@ int main(int argc, char** argv) {
 
     // Guarded: 100% of injected scribbles caught, nothing corrupted.
     if (guard.injected == 0) {
-      std::printf("  FAIL guarded: the schedule injected nothing\n");
-      fail = true;
+      Fail("guarded: the schedule injected nothing");
     }
     if (guard.denied != guard.injected || guard.landed != 0) {
-      std::printf("  FAIL guarded: denied=%llu landed=%llu of %llu injected\n",
-                  static_cast<unsigned long long>(guard.denied),
-                  static_cast<unsigned long long>(guard.landed),
-                  static_cast<unsigned long long>(guard.injected));
-      fail = true;
+      Fail("guarded: denied=%llu landed=%llu of %llu injected",
+           static_cast<unsigned long long>(guard.denied),
+           static_cast<unsigned long long>(guard.landed),
+           static_cast<unsigned long long>(guard.injected));
     }
     if (guard.raised != guard.injected || guard.caught != guard.injected) {
-      std::printf("  FAIL guarded accounting: raised=%llu caught=%llu != "
-                  "injected=%llu\n",
-                  static_cast<unsigned long long>(guard.raised),
-                  static_cast<unsigned long long>(guard.caught),
-                  static_cast<unsigned long long>(guard.injected));
-      fail = true;
+      Fail("guarded accounting: raised=%llu caught=%llu != injected=%llu",
+           static_cast<unsigned long long>(guard.raised),
+           static_cast<unsigned long long>(guard.caught),
+           static_cast<unsigned long long>(guard.injected));
     }
     if (guard.kernel_mismatches != 0 || guard.translate_broken != 0) {
-      std::printf("  FAIL guarded integrity: %llu shadow mismatches, %llu "
-                  "broken translations\n",
-                  static_cast<unsigned long long>(guard.kernel_mismatches),
-                  static_cast<unsigned long long>(guard.translate_broken));
-      fail = true;
+      Fail("guarded integrity: %llu shadow mismatches, %llu broken "
+           "translations",
+           static_cast<unsigned long long>(guard.kernel_mismatches),
+           static_cast<unsigned long long>(guard.translate_broken));
     }
     if (guard.victim_failures != 0 || guard.victim_killed ||
         guard.fs_failures != 0) {
-      std::printf("  FAIL guarded victims: %d/%d ops failed, %d/%d fs ops "
-                  "failed, killed=%d\n",
-                  guard.victim_failures, guard.victim_ops, guard.fs_failures,
-                  guard.fs_ops, guard.victim_killed ? 1 : 0);
-      fail = true;
+      Fail("guarded victims: %d/%d ops failed, %d/%d fs ops failed, "
+           "killed=%d",
+           guard.victim_failures, guard.victim_ops, guard.fs_failures,
+           guard.fs_ops, guard.victim_killed ? 1 : 0);
     }
     if (!guard.hostile_killed) {
-      std::printf("  FAIL guarded: the hostile domain survived\n");
-      fail = true;
+      Fail("guarded: the hostile domain survived");
     }
     if (!guard.fsck_consistent || guard.quota_leaked != 0) {
-      std::printf("  FAIL guarded invariants: fsck=%d leaked=%llu\n",
-                  guard.fsck_consistent ? 1 : 0,
-                  static_cast<unsigned long long>(guard.quota_leaked));
-      fail = true;
+      Fail("guarded invariants: fsck=%d leaked=%llu",
+           guard.fsck_consistent ? 1 : 0,
+           static_cast<unsigned long long>(guard.quota_leaked));
     }
     // Ablation: the same schedule lands silently.
     if (ablate.landed != ablate.injected || ablate.landed == 0) {
-      std::printf("  FAIL ablation: landed=%llu of %llu injected\n",
-                  static_cast<unsigned long long>(ablate.landed),
-                  static_cast<unsigned long long>(ablate.injected));
-      fail = true;
+      Fail("ablation: landed=%llu of %llu injected",
+           static_cast<unsigned long long>(ablate.landed),
+           static_cast<unsigned long long>(ablate.injected));
     }
     if (ablate.raised != 0 || ablate.caught != 0) {
-      std::printf("  FAIL ablation counted violations with enforcement "
-                  "off: raised=%llu caught=%llu\n",
-                  static_cast<unsigned long long>(ablate.raised),
-                  static_cast<unsigned long long>(ablate.caught));
-      fail = true;
+      Fail("ablation counted violations with enforcement off: raised=%llu "
+           "caught=%llu",
+           static_cast<unsigned long long>(ablate.raised),
+           static_cast<unsigned long long>(ablate.caught));
     }
     if (ablate.hostile_killed) {
-      std::printf("  FAIL ablation: hostile domain killed with enforcement "
-                  "off\n");
-      fail = true;
+      Fail("ablation: hostile domain killed with enforcement off");
     }
 
     injected_total += guard.injected;
@@ -448,76 +429,55 @@ int main(int argc, char** argv) {
       ++ablation_corrupt_seeds;
     }
 
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"seed\": %llu, \"injected\": %llu, \"caught\": %llu, "
-        "\"pte\": %llu, \"dma\": %llu, \"guarded_mismatches\": %llu, "
-        "\"ablation_landed\": %llu, \"ablation_corrupt_bytes\": %llu}",
-        static_cast<unsigned long long>(seed),
-        static_cast<unsigned long long>(guard.injected),
-        static_cast<unsigned long long>(guard.caught),
-        static_cast<unsigned long long>(guard.pte_violations),
-        static_cast<unsigned long long>(guard.dma_violations),
-        static_cast<unsigned long long>(guard.kernel_mismatches),
-        static_cast<unsigned long long>(ablate.landed),
-        static_cast<unsigned long long>(ablate.kernel_mismatches));
-    seed_json.push_back(buf);
+    rows.push_back({seed, guard, ablate});
   }
 
   // The ablation MUST corrupt somewhere, or the campaign proves nothing.
   if (ablation_corrupt_seeds == 0) {
-    std::printf("\nFAIL: no ablation run corrupted kernel state — the "
-                "monitor is not what integrity rests on\n");
-    fail = true;
+    Fail("no ablation run corrupted kernel state — the monitor is not what "
+         "integrity rests on");
   }
 
   std::printf("\nShape checks:\n");
-  std::printf("  catch rate:  %llu/%llu injected violations caught  %s\n",
-              static_cast<unsigned long long>(caught_total),
-              static_cast<unsigned long long>(injected_total),
-              caught_total == injected_total ? "PASS" : "FAIL");
-  std::printf("  integrity:   %llu guarded mismatches  %s\n",
-              static_cast<unsigned long long>(guarded_mismatches),
-              guarded_mismatches == 0 ? "PASS" : "FAIL");
-  std::printf("  ablation:    corrupt on %d/%d seeds (need >= 1)  %s\n",
-              ablation_corrupt_seeds, opt.seeds,
-              ablation_corrupt_seeds >= 1 ? "PASS" : "FAIL");
-  std::printf("  overall:     %s\n", fail ? "FAIL" : "PASS");
+  Check(caught_total == injected_total,
+        "  catch rate:  %llu/%llu injected violations caught",
+        static_cast<unsigned long long>(caught_total),
+        static_cast<unsigned long long>(injected_total));
+  Check(guarded_mismatches == 0, "  integrity:   %llu guarded mismatches",
+        static_cast<unsigned long long>(guarded_mismatches));
+  Check(ablation_corrupt_seeds >= 1,
+        "  ablation:    corrupt on %d/%d seeds (need >= 1)",
+        ablation_corrupt_seeds, opt.seeds);
+  bool pass = Check(Failures() == 0, "  overall:   ");
 
-  if (opt.json_path != nullptr) {
-    FILE* jf = std::fopen(opt.json_path, "w");
-    if (jf == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-      return 2;
-    }
-    std::fprintf(jf, "{\n  \"bench\": \"monitor_campaign\",\n");
-    std::fprintf(jf, "  \"victims\": %d,\n  \"rounds\": %d,\n", kVictims,
-                 opt.rounds);
-    std::fprintf(jf, "  \"seeds_run\": %d,\n", opt.seeds);
-    std::fprintf(jf, "  \"injected_total\": %llu,\n",
-                 static_cast<unsigned long long>(injected_total));
-    std::fprintf(jf, "  \"caught_total\": %llu,\n",
-                 static_cast<unsigned long long>(caught_total));
-    std::fprintf(jf, "  \"catch_rate\": %.3f,\n",
-                 injected_total > 0
-                     ? static_cast<double>(caught_total) /
-                           static_cast<double>(injected_total)
-                     : 0.0);
-    std::fprintf(jf, "  \"guarded_mismatches\": %llu,\n",
-                 static_cast<unsigned long long>(guarded_mismatches));
-    std::fprintf(jf, "  \"ablation_landed_total\": %llu,\n",
-                 static_cast<unsigned long long>(ablation_landed_total));
-    std::fprintf(jf, "  \"ablation_corrupt_seeds\": %d,\n",
-                 ablation_corrupt_seeds);
-    std::fprintf(jf, "  \"seeds\": [\n");
-    for (size_t i = 0; i < seed_json.size(); ++i) {
-      std::fprintf(jf, "%s%s\n", seed_json[i].c_str(),
-                   i + 1 < seed_json.size() ? "," : "");
-    }
-    std::fprintf(jf, "  ],\n  \"pass\": %s\n}\n", fail ? "false" : "true");
-    std::fclose(jf);
-    std::printf("wrote %s\n", opt.json_path);
+  Report report;
+  report.Field("bench", "monitor_campaign")
+      .Field("victims", kVictims)
+      .Field("rounds", opt.rounds)
+      .Field("seeds_run", opt.seeds)
+      .Field("injected_total", injected_total)
+      .Field("caught_total", caught_total)
+      .Field("catch_rate",
+             injected_total > 0 ? static_cast<double>(caught_total) /
+                                      static_cast<double>(injected_total)
+                                : 0.0,
+             3)
+      .Field("guarded_mismatches", guarded_mismatches)
+      .Field("ablation_landed_total", ablation_landed_total)
+      .Field("ablation_corrupt_seeds", ablation_corrupt_seeds)
+      .Array("seeds");
+  for (const SeedRow& row : rows) {
+    report.Object(nullptr, Report::Layout::kInline)
+        .Field("seed", row.seed)
+        .Field("injected", row.guard.injected)
+        .Field("caught", row.guard.caught)
+        .Field("pte", row.guard.pte_violations)
+        .Field("dma", row.guard.dma_violations)
+        .Field("guarded_mismatches", row.guard.kernel_mismatches)
+        .Field("ablation_landed", row.ablate.landed)
+        .Field("ablation_corrupt_bytes", row.ablate.kernel_mismatches)
+        .End();
   }
-  return fail ? 1 : 0;
+  report.End().Field("pass", pass);
+  return Finish(report, opt.json_path);
 }

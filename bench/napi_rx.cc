@@ -23,13 +23,13 @@
 // count asserted identical by the ttcp harness itself.
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/trace/trace.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
@@ -95,20 +95,12 @@ void PrintRow(const char* name, const Metrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: napi_rx [blocks] [--json <path>]
   size_t blocks = 2048;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: napi_rx [blocks] [--json <path>]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else {
-      blocks = std::strtoul(argv[i], nullptr, 0);
-    }
-  }
+  Flags("napi_rx")
+      .Count(&blocks, "blocks")
+      .Add("--json", &json_path, "<path>")
+      .ParseOrExit(argc, argv);
 
   std::printf("NAPI ablation: wire-limited ttcp (%zu x 4096-byte blocks), "
               "receiver-side interrupt accounting\n\n",
@@ -135,102 +127,75 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(napi.rx_batches),
               static_cast<unsigned long long>(napi.batched_outputs));
 
-  bool fail = false;
   std::printf("\nShape checks:\n");
 
   // The seed path really is one interrupt per frame (this is the ablation
   // baseline — if it drifts, the reduction factor below means nothing).
-  bool ok = perframe.IrqsPerFrame() > 0.99 && perframe.polls == 0;
-  fail |= !ok;
-  std::printf("  per-frame:   %.3f IRQs/frame, %llu polls (1997 behaviour: "
-              "one IRQ per frame, ISR drain)  %s\n",
-              perframe.IrqsPerFrame(),
-              static_cast<unsigned long long>(perframe.polls),
-              ok ? "PASS" : "FAIL");
+  Check(perframe.IrqsPerFrame() > 0.99 && perframe.polls == 0,
+        "  per-frame:   %.3f IRQs/frame, %llu polls (1997 behaviour: "
+        "one IRQ per frame, ISR drain)",
+        perframe.IrqsPerFrame(),
+        static_cast<unsigned long long>(perframe.polls));
 
   // The acceptance criterion: >= 4x fewer RX interrupts per delivered frame.
   double reduction = napi.IrqsPerFrame() > 0
                          ? perframe.IrqsPerFrame() / napi.IrqsPerFrame()
                          : 0;
-  ok = reduction >= 4.0;
-  fail |= !ok;
-  std::printf("  mitigation:  %.3f -> %.3f IRQs/frame (%.1fx fewer; "
-              "acceptance floor 4x)  %s\n",
-              perframe.IrqsPerFrame(), napi.IrqsPerFrame(), reduction,
-              ok ? "PASS" : "FAIL");
+  Check(reduction >= 4.0,
+        "  mitigation:  %.3f -> %.3f IRQs/frame (%.1fx fewer; "
+        "acceptance floor 4x)",
+        perframe.IrqsPerFrame(), napi.IrqsPerFrame(), reduction);
 
   // The polled path really carried the frames (not the legacy ISR drain),
   // and each dispatch amortised over several frames.
   // (tolerate a couple of frames parked in the ring when the simulation's
   // fibers finish mid-close-handshake)
-  ok = napi.polls > 0 && napi.poll_frames + 4 >= napi.rx_frames &&
-       napi.poll_frames <= napi.rx_frames && napi.FramesPerPoll() > 1.5;
-  fail |= !ok;
-  std::printf("  polling:     %llu/%llu frames via poll dispatch, %.1f "
-              "frames/poll  %s\n",
-              static_cast<unsigned long long>(napi.poll_frames),
-              static_cast<unsigned long long>(napi.rx_frames),
-              napi.FramesPerPoll(), ok ? "PASS" : "FAIL");
+  Check(napi.polls > 0 && napi.poll_frames + 4 >= napi.rx_frames &&
+            napi.poll_frames <= napi.rx_frames && napi.FramesPerPoll() > 1.5,
+        "  polling:     %llu/%llu frames via poll dispatch, %.1f "
+        "frames/poll",
+        static_cast<unsigned long long>(napi.poll_frames),
+        static_cast<unsigned long long>(napi.rx_frames),
+        napi.FramesPerPoll());
 
   // The burst fed TCP as batches: one delayed-ACK pass per burst, several
   // inputs folded into each deferred output.
-  ok = napi.rx_batches > 0 && napi.batched_outputs >= napi.rx_batches;
-  fail |= !ok;
-  std::printf("  tcp batch:   %llu batch passes, %llu deferred outputs  %s\n",
-              static_cast<unsigned long long>(napi.rx_batches),
-              static_cast<unsigned long long>(napi.batched_outputs),
-              ok ? "PASS" : "FAIL");
+  Check(napi.rx_batches > 0 && napi.batched_outputs >= napi.rx_batches,
+        "  tcp batch:   %llu batch passes, %llu deferred outputs",
+        static_cast<unsigned long long>(napi.rx_batches),
+        static_cast<unsigned long long>(napi.batched_outputs));
 
   // Mitigation must not cost bandwidth at saturation (byte-for-byte
   // delivery is already asserted inside the ttcp harness).
-  ok = napi.sim_mbps > 0.95 * perframe.sim_mbps;
-  fail |= !ok;
-  std::printf("  bandwidth:   %.1f vs %.1f Mbit/s wire-limited  %s\n",
-              napi.sim_mbps, perframe.sim_mbps, ok ? "PASS" : "FAIL");
+  Check(napi.sim_mbps > 0.95 * perframe.sim_mbps,
+        "  bandwidth:   %.1f vs %.1f Mbit/s wire-limited", napi.sim_mbps,
+        perframe.sim_mbps);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"napi_rx\",\n  \"blocks\": %zu,\n",
-                 blocks);
-    std::fprintf(f, "  \"configs\": [\n");
-    const Metrics* rows[] = {&perframe, &napi};
-    for (int i = 0; i < 2; ++i) {
-      const Metrics& m = *rows[i];
-      std::fprintf(
-          f,
-          "    {\"config\": \"%s\", \"sim_mbps\": %.1f, "
-          "\"rx_frames\": %llu, \"rx_irqs\": %llu, "
-          "\"irqs_per_frame\": %.4f, \"polls\": %llu, "
-          "\"poll_frames\": %llu, \"frames_per_poll\": %.2f, "
-          "\"threshold_fires\": %llu, \"holdoff_fires\": %llu, "
-          "\"ring_fallback_fires\": %llu, \"budget_exhausted\": %llu, "
-          "\"reenable_races\": %llu, \"tcp_rx_batches\": %llu, "
-          "\"tcp_batched_outputs\": %llu}%s\n",
-          m.json_key, m.sim_mbps, static_cast<unsigned long long>(m.rx_frames),
-          static_cast<unsigned long long>(m.rx_irqs), m.IrqsPerFrame(),
-          static_cast<unsigned long long>(m.polls),
-          static_cast<unsigned long long>(m.poll_frames), m.FramesPerPoll(),
-          static_cast<unsigned long long>(m.threshold_fires),
-          static_cast<unsigned long long>(m.holdoff_fires),
-          static_cast<unsigned long long>(m.ring_fires),
-          static_cast<unsigned long long>(m.budget_exhausted),
-          static_cast<unsigned long long>(m.reenable_races),
-          static_cast<unsigned long long>(m.rx_batches),
-          static_cast<unsigned long long>(m.batched_outputs),
-          i == 0 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"checks\": {\"irq_reduction_factor\": %.2f, "
-                 "\"acceptance_floor\": 4.0}\n",
-                 reduction);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  Report report;
+  report.Field("bench", "napi_rx").Field("blocks", blocks).Array("configs");
+  for (const Metrics* m : {&perframe, &napi}) {
+    report.Object(nullptr, Report::Layout::kInline)
+        .Field("config", m->json_key)
+        .Field("sim_mbps", m->sim_mbps, 1)
+        .Field("rx_frames", m->rx_frames)
+        .Field("rx_irqs", m->rx_irqs)
+        .Field("irqs_per_frame", m->IrqsPerFrame(), 4)
+        .Field("polls", m->polls)
+        .Field("poll_frames", m->poll_frames)
+        .Field("frames_per_poll", m->FramesPerPoll(), 2)
+        .Field("threshold_fires", m->threshold_fires)
+        .Field("holdoff_fires", m->holdoff_fires)
+        .Field("ring_fallback_fires", m->ring_fires)
+        .Field("budget_exhausted", m->budget_exhausted)
+        .Field("reenable_races", m->reenable_races)
+        .Field("tcp_rx_batches", m->rx_batches)
+        .Field("tcp_batched_outputs", m->batched_outputs)
+        .End();
   }
-
-  return fail ? 1 : 0;
+  report.End()
+      .Object("checks", Report::Layout::kInline)
+      .Field("irq_reduction_factor", reduction, 2)
+      .Field("acceptance_floor", 4.0, 1)
+      .End();
+  return Finish(report, json_path);
 }

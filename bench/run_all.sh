@@ -1,35 +1,18 @@
 #!/bin/sh
-# Runs every benchmark binary with smoke-sized arguments and emits a
-# machine-readable counter report (BENCH_trace.json, produced by
-# ablation_glue from the sender's trace counter registry; BENCH_fault.json,
-# produced by the fault-injection campaign's aggregate counters;
-# BENCH_sg.json, produced by table1_bandwidth with the per-row
-# bytes-copied-per-byte-sent figures for the scatter-gather send path;
-# BENCH_crash.json, produced by the every-write power-cut crash campaign's
-# aggregate durability counters; BENCH_napi.json, produced by the NAPI
-# ablation with IRQs-per-frame and frames-per-poll at wire saturation;
-# BENCH_c10k.json, produced by the scale-out C10k bench with held-open
-# concurrency, connect-to-echo latency percentiles, and switch statistics;
-# BENCH_tenant.json, produced by the multi-tenant hostile-tenant campaign
-# with per-seed victim p99 ratios, quota denial counts, and leak checks;
-# BENCH_http.json, produced by the flagship HTTP/1.1 macro-workload with
-# throughput, tail latency, span attribution, ablation rows, and the
-# slow-loris verdict; BENCH_monitor.json, produced by the memory-monitor
-# scribble campaign with catch rates, integrity checks, and the
-# corruption-proving ablation; BENCH_aio.json, produced by the async
-# completion-ring campaign with the queue-depth sweep, the journal-over-ring
-# counters, the stack-composition matrix, and the sendfile vs read+send
-# copied-bytes ablation).
-#
-# After the benches, every BENCH_*.json is compared against the checked-in
-# baselines (bench/baselines/) by bench/check_regression: a metric outside
-# its tolerance band fails the run and the deltas land in REGRESSIONS.json.
+# Runs every benchmark binary with smoke-sized arguments.  Each bench given
+# `--json <path>` writes a machine-readable report (BENCH_*.json) there;
+# every such report must be produced.  After the benches, every
+# BENCH_*.json is compared against the checked-in baselines
+# (bench/baselines/) by bench/check_regression: a metric outside its
+# tolerance band fails the run and the deltas land in REGRESSIONS.json.
+# CI's release job runs this script as is.
 #
 # Usage: bench/run_all.sh [build_dir]
 #   build_dir defaults to ./build; binaries are expected in $build_dir/bench.
 #
 # Exit status is non-zero if any benchmark exits non-zero, any shape check
-# prints FAIL, or any baselined metric regresses.
+# prints FAIL, any expected report is missing, or any baselined metric
+# regresses.
 
 set -u
 
@@ -45,10 +28,20 @@ fi
 mkdir -p "$LOG_DIR"
 
 status=0
+reports=""  # one per line: every path passed to a bench's --json
 
 run_bench() {
     name="$1"
     shift
+    prev=""
+    for arg in "$@"; do
+        if [ "$prev" = "--json" ]; then
+            rm -f "$arg"  # a report left by an earlier run proves nothing
+            reports="$reports
+$arg"
+        fi
+        prev="$arg"
+    done
     if [ ! -x "$BENCH_DIR/$name" ]; then
         echo "SKIP $name (not built)"
         return
@@ -69,8 +62,7 @@ run_bench() {
 }
 
 # Smoke sizes: enough traffic for every shape check, seconds per bench.
-# These invocations must match .github/workflows/ci.yml and the baselines
-# in bench/baselines/ — the emitted numbers are compared against them.
+# The baselines in bench/baselines/ were recorded with these invocations.
 run_bench table1_bandwidth 2048 --json "$BENCH_DIR/BENCH_sg.json"
 run_bench table2_latency   4000
 run_bench napi_rx          2048 --json "$BENCH_DIR/BENCH_napi.json"
@@ -88,15 +80,17 @@ run_bench http_campaign    --json "$BENCH_DIR/BENCH_http.json"
 run_bench monitor_campaign --seeds 5 --seed-base 1 --json "$BENCH_DIR/BENCH_monitor.json"
 run_bench aio_campaign     --json "$BENCH_DIR/BENCH_aio.json"
 
-for json in trace fault sg crash napi c10k tenant http monitor aio; do
-    out="$BENCH_DIR/BENCH_$json.json"
+while IFS= read -r out; do
+    [ -n "$out" ] || continue
     if [ -f "$out" ]; then
         echo "wrote $out"
     else
-        echo "FAIL BENCH_$json.json was not produced"
+        echo "FAIL $(basename "$out") was not produced"
         status=1
     fi
-done
+done <<EOF
+$reports
+EOF
 
 # The perf-regression gate: every baselined metric must stay inside its
 # tolerance band.

@@ -14,12 +14,13 @@
 // with a 100 Mbps / 5 us wire for scale.
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/trace/trace.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 
 namespace {
@@ -44,7 +45,10 @@ RtcpResult RunOne(NetConfig config, bool wire_limited, uint64_t round_trips,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t round_trips = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 20000;
+  uint64_t round_trips = 20000;
+  Flags("table2_latency")
+      .Count(&round_trips, "round_trips")
+      .ParseOrExit(argc, argv);
 
   const struct {
     const char* name;
@@ -78,9 +82,10 @@ int main(int argc, char** argv) {
   }
 
   double overhead = us[2] / us[1];
-  std::printf("\nShape check: rtt(OSKit)/rtt(FreeBSD) = %.2f  (paper: > 1 — "
-              "'the OSKit imposes significant overhead' from glue code)  %s\n",
-              overhead, overhead > 1.02 ? "PASS" : "FAIL");
+  Check(overhead > 1.02,
+        "\nShape check: rtt(OSKit)/rtt(FreeBSD) = %.2f  (paper: > 1 — "
+        "'the OSKit imposes significant overhead' from glue code)",
+        overhead);
   std::printf("The delta is the COM boundary crossings, bufio conversions and "
               "emulated-process glue per packet (see bench/ablation_glue).\n");
   std::printf("Note: the coalesced+polled row pays the 1 ms holdoff per "
@@ -104,5 +109,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return 0;
+  return ExitCode();
 }

@@ -37,9 +37,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/fs/ffs.h"
@@ -47,6 +47,7 @@
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
+using namespace oskit::bench;
 using namespace oskit::testbed;
 using secure::Acl;
 using secure::Budget;
@@ -85,15 +86,6 @@ struct RunResult {
   uint64_t leaked = 0;          // sum of post-teardown charged gauges
   bool completed = false;       // the simulation drained (nobody hung)
 };
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * (v.size() - 1));
-  return v[idx];
-}
 
 // One full campaign world.  Builds everything, runs to completion, fills
 // `out`.  Every blocking operation lives inside a fiber; sends are paced;
@@ -513,23 +505,12 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      opt.seeds = std::atoi(argv[++i]);
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      opt.seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      opt.rounds = std::atoi(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: tenant_campaign [--seeds N] [--seed-base S] "
-                   "[--rounds R] [--json <path>]\n");
-      return 2;
-    }
-  }
+  Flags("tenant_campaign")
+      .Add("--seeds", &opt.seeds)
+      .Add("--seed-base", &opt.seed_base, "S")
+      .Add("--rounds", &opt.rounds, "R")
+      .Add("--json", &opt.json_path, "<path>")
+      .ParseOrExit(argc, argv);
 
   std::printf("Tenant campaign: %d victims x %d rounds, 5 hostile tenants, "
               "%d seed(s) from %llu\n\n",
@@ -542,7 +523,6 @@ int main(int argc, char** argv) {
     RunResult guard, ablate;
   };
   std::vector<SeedReport> reports;
-  bool fail = false;
 
   for (int s = 0; s < opt.seeds; ++s) {
     SeedReport rep{};
@@ -553,6 +533,8 @@ int main(int argc, char** argv) {
     RunCampaign(Mode::kGuarded, rep.seed, opt, &rep.guard);
     RunCampaign(Mode::kAblation, rep.seed, opt, &rep.ablate);
 
+    std::sort(base.lat_us.begin(), base.lat_us.end());
+    std::sort(rep.guard.lat_us.begin(), rep.guard.lat_us.end());
     rep.base_p99 = Percentile(base.lat_us, 0.99);
     rep.guard_p99 = Percentile(rep.guard.lat_us, 0.99);
     rep.ratio = rep.base_p99 > 0 ? rep.guard_p99 / rep.base_p99 : 0;
@@ -568,63 +550,49 @@ int main(int argc, char** argv) {
                 rep.ablate.starved_net, rep.ablate.starved_fs);
 
     const int expect = kVictims * opt.rounds;
-    bool ok = base.echoes == expect && base.starved_net == 0 &&
-              base.starved_fs == 0;
-    if (!ok) {
-      std::printf("  FAIL baseline: %d/%d echoes, %d net / %d fs "
-                  "failures\n",
-                  base.echoes, expect, base.starved_net, base.starved_fs);
-      fail = true;
+    if (base.echoes != expect || base.starved_net != 0 ||
+        base.starved_fs != 0) {
+      Fail("baseline: %d/%d echoes, %d net / %d fs failures", base.echoes,
+           expect, base.starved_net, base.starved_fs);
     }
     // Victims behind quotas never feel the attack.
-    ok = rep.guard.echoes == expect && rep.guard.starved_net == 0 &&
-         rep.guard.starved_fs == 0;
-    if (!ok) {
-      std::printf("  FAIL guarded victims: %d/%d echoes, %d net / %d fs "
-                  "failures\n",
-                  rep.guard.echoes, expect, rep.guard.starved_net,
-                  rep.guard.starved_fs);
-      fail = true;
+    if (rep.guard.echoes != expect || rep.guard.starved_net != 0 ||
+        rep.guard.starved_fs != 0) {
+      Fail("guarded victims: %d/%d echoes, %d net / %d fs failures",
+           rep.guard.echoes, expect, rep.guard.starved_net,
+           rep.guard.starved_fs);
     }
     if (rep.base_p99 > 0 && rep.ratio > 3.0) {
-      std::printf("  FAIL guarded p99 %.1f us > 3x baseline %.1f us\n",
-                  rep.guard_p99, rep.base_p99);
-      fail = true;
+      Fail("guarded p99 %.1f us > 3x baseline %.1f us", rep.guard_p99,
+           rep.base_p99);
     }
     // Every attacker was told no, explicitly: kQuotaExceeded, not a hang
     // (completion of the run proves nobody hung) and not a panic.
     if (rep.guard.spam_denied == 0 || rep.guard.port_denied == 0 ||
         rep.guard.fill_denied == 0 || rep.guard.churn_denied == 0) {
-      std::printf("  FAIL guarded denials: spam=%llu port=%llu fill=%llu "
-                  "churn=%llu (all must be > 0)\n",
-                  static_cast<unsigned long long>(rep.guard.spam_denied),
-                  static_cast<unsigned long long>(rep.guard.port_denied),
-                  static_cast<unsigned long long>(rep.guard.fill_denied),
-                  static_cast<unsigned long long>(rep.guard.churn_denied));
-      fail = true;
+      Fail("guarded denials: spam=%llu port=%llu fill=%llu churn=%llu (all "
+           "must be > 0)",
+           static_cast<unsigned long long>(rep.guard.spam_denied),
+           static_cast<unsigned long long>(rep.guard.port_denied),
+           static_cast<unsigned long long>(rep.guard.fill_denied),
+           static_cast<unsigned long long>(rep.guard.churn_denied));
     }
     if (rep.guard.rx_shed == 0) {
-      std::printf("  FAIL guarded: the hog's overage was never shed\n");
-      fail = true;
+      Fail("guarded: the hog's overage was never shed");
     }
     if (rep.guard.leaked != 0) {
-      std::printf("  FAIL guarded leak check: %llu units still charged "
-                  "after teardown\n",
-                  static_cast<unsigned long long>(rep.guard.leaked));
-      fail = true;
+      Fail("guarded leak check: %llu units still charged after teardown",
+           static_cast<unsigned long long>(rep.guard.leaked));
     }
     // The ablation must hurt: no quotas, starved victims.
     if (rep.ablate.starved_net == 0 || rep.ablate.starved_fs == 0) {
-      std::printf("  FAIL ablation did not starve victims (net=%d fs=%d): "
-                  "the quota layer is not what isolation rests on\n",
-                  rep.ablate.starved_net, rep.ablate.starved_fs);
-      fail = true;
+      Fail("ablation did not starve victims (net=%d fs=%d): the quota layer "
+           "is not what isolation rests on",
+           rep.ablate.starved_net, rep.ablate.starved_fs);
     }
     if (rep.ablate.quota_denials != 0) {
-      std::printf("  FAIL ablation saw %llu kQuotaExceeded denials with "
-                  "wrappers off\n",
-                  static_cast<unsigned long long>(rep.ablate.quota_denials));
-      fail = true;
+      Fail("ablation saw %llu kQuotaExceeded denials with wrappers off",
+           static_cast<unsigned long long>(rep.ablate.quota_denials));
     }
     reports.push_back(rep);
   }
@@ -634,42 +602,31 @@ int main(int argc, char** argv) {
     worst_ratio = std::max(worst_ratio, rep.ratio);
   }
   std::printf("\nShape checks:\n");
-  std::printf("  isolation:   worst guarded/baseline p99 ratio %.2fx "
-              "(bound 3x)  %s\n",
-              worst_ratio, worst_ratio <= 3.0 ? "PASS" : "FAIL");
-  std::printf("  overall:     %s\n", fail ? "FAIL" : "PASS");
+  Check(worst_ratio <= 3.0,
+        "  isolation:   worst guarded/baseline p99 ratio %.2fx (bound 3x)",
+        worst_ratio);
+  bool pass = Check(Failures() == 0, "  overall:   ");
 
-  if (opt.json_path != nullptr) {
-    FILE* jf = std::fopen(opt.json_path, "w");
-    if (jf == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-      return 2;
-    }
-    std::fprintf(jf, "{\n  \"bench\": \"tenant_campaign\",\n");
-    std::fprintf(jf, "  \"victims\": %d,\n  \"rounds\": %d,\n", kVictims,
-                 opt.rounds);
-    std::fprintf(jf, "  \"p99_bound_factor\": 3.0,\n");
-    std::fprintf(jf, "  \"worst_ratio\": %.3f,\n", worst_ratio);
-    std::fprintf(jf, "  \"seeds\": [\n");
-    for (size_t i = 0; i < reports.size(); ++i) {
-      const SeedReport& rep = reports[i];
-      std::fprintf(
-          jf,
-          "    {\"seed\": %llu, \"baseline_p99_us\": %.1f, "
-          "\"guarded_p99_us\": %.1f, \"ratio\": %.3f, "
-          "\"quota_denials\": %llu, \"rx_shed\": %llu, \"leaked\": %llu, "
-          "\"ablation_starved_net\": %d, \"ablation_starved_fs\": %d}%s\n",
-          static_cast<unsigned long long>(rep.seed), rep.base_p99,
-          rep.guard_p99, rep.ratio,
-          static_cast<unsigned long long>(rep.guard.quota_denials),
-          static_cast<unsigned long long>(rep.guard.rx_shed),
-          static_cast<unsigned long long>(rep.guard.leaked),
-          rep.ablate.starved_net, rep.ablate.starved_fs,
-          i + 1 < reports.size() ? "," : "");
-    }
-    std::fprintf(jf, "  ],\n  \"pass\": %s\n}\n", fail ? "false" : "true");
-    std::fclose(jf);
-    std::printf("wrote %s\n", opt.json_path);
+  Report report;
+  report.Field("bench", "tenant_campaign")
+      .Field("victims", kVictims)
+      .Field("rounds", opt.rounds)
+      .Field("p99_bound_factor", 3.0, 1)
+      .Field("worst_ratio", worst_ratio, 3)
+      .Array("seeds");
+  for (const SeedReport& rep : reports) {
+    report.Object(nullptr, Report::Layout::kInline)
+        .Field("seed", rep.seed)
+        .Field("baseline_p99_us", rep.base_p99, 1)
+        .Field("guarded_p99_us", rep.guard_p99, 1)
+        .Field("ratio", rep.ratio, 3)
+        .Field("quota_denials", rep.guard.quota_denials)
+        .Field("rx_shed", rep.guard.rx_shed)
+        .Field("leaked", rep.guard.leaked)
+        .Field("ablation_starved_net", rep.ablate.starved_net)
+        .Field("ablation_starved_fs", rep.ablate.starved_fs)
+        .End();
   }
-  return fail ? 1 : 0;
+  report.End().Field("pass", pass);
+  return Finish(report, opt.json_path);
 }

@@ -199,6 +199,11 @@ void KernelEnv::SetupMemory() {
 
 void KernelEnv::IrqRegister(int irq, IrqHandler handler) {
   OSKIT_ASSERT(irq >= 0 && irq < Pic::kIrqLines);
+  // ISA lines are not shared: a second handler would silently orphan the
+  // first device, whose requests would then time out.
+  char msg[48];
+  std::snprintf(msg, sizeof(msg), "irq %d already has a handler", irq);
+  OSKIT_ASSERT_MSG(!irq_handlers_[irq], msg);
   irq_handlers_[irq] = std::move(handler);
   machine_->pic().Unmask(irq);
 }

@@ -99,6 +99,16 @@ TEST_F(KernTest, IrqRegistrationRoutesAndUnmasks) {
   EXPECT_EQ(1, fired);
 }
 
+TEST_F(KernTest, IrqRegisterRefusesABusyLine) {
+  // ISA lines are not shared: silently replacing the handler left the first
+  // of two disks on IRQ 14 without interrupts until its requests timed out.
+  KernelEnv kernel(machine_.get(), MultiBootInfo{});
+  kernel.IrqRegister(14, [] {});
+  EXPECT_DEATH(kernel.IrqRegister(14, [] {}), "irq 14 already has a handler");
+  kernel.IrqUnregister(14);
+  kernel.IrqRegister(14, [] {});  // a freed line can be claimed again
+}
+
 TEST_F(KernTest, TimerDeliversTicks) {
   KernelEnv kernel(machine_.get(), MultiBootInfo{});
   machine_->cpu().EnableInterrupts();
