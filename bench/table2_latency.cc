@@ -10,10 +10,14 @@
 //
 // Here both endpoints run the measured configuration, the wire is
 // infinitely fast, and the host-CPU time per round trip isolates exactly
-// that software overhead.  A wire-limited column shows the simulated RTT
-// with a 100 Mbps / 5 us wire for scale.
+// that software overhead.  Each software-path cell is the median of several
+// repetitions, interleaved across configurations so that a change in the
+// machine's speed hits every row alike.  A wire-limited column shows the
+// simulated RTT with a 100 Mbps / 5 us wire for scale.
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 #include "src/testbed/ttcp.h"
@@ -42,6 +46,12 @@ RtcpResult RunOne(NetConfig config, bool wire_limited, uint64_t round_trips,
   return result;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  size_t n = v.size();
+  return n % 2 != 0 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,30 +70,39 @@ int main(int argc, char** argv) {
       {"OSKit, coalesced+polled RX", NetConfig::kOskitNapi},
   };
   constexpr int kNumConfigs = 4;
+  constexpr int kReps = 7;  // software-path repetitions per configuration
 
   std::printf("Table 2: TCP one-byte round-trip time measured with rtcp "
-              "(%llu round trips per cell)\n\n",
-              static_cast<unsigned long long>(round_trips));
-  std::printf("%-38s | %18s | %18s\n", "configuration", "sw-path us/rt (wall)",
-              "wire-model us/rt (sim)");
-  std::printf("---------------------------------------+--------------------+------"
-              "--------------\n");
+              "(%llu round trips per cell; wall: median of %d interleaved "
+              "repetitions)\n\n",
+              static_cast<unsigned long long>(round_trips), kReps);
+  std::printf("%-38s | %20s | %13s | %18s\n", "configuration",
+              "sw-path us/rt (wall)", "min-max", "wire-model us/rt (sim)");
+  std::printf("---------------------------------------+----------------------+-"
+              "--------------+-------------------\n");
 
-  double us[kNumConfigs];
+  std::vector<double> samples[kNumConfigs];
   trace::CounterSnapshot client_counters[kNumConfigs];
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int i = 0; i < kNumConfigs; ++i) {
+      RtcpResult sw = RunOne(kConfigs[i].config, /*wire_limited=*/false, round_trips,
+                             rep == 0 ? &client_counters[i] : nullptr);
+      samples[i].push_back(sw.UsecPerRoundTripWall());
+    }
+  }
+  double us[kNumConfigs];
   for (int i = 0; i < kNumConfigs; ++i) {
-    RtcpResult sw = RunOne(kConfigs[i].config, /*wire_limited=*/false, round_trips,
-                           &client_counters[i]);
     RtcpResult wire = RunOne(kConfigs[i].config, /*wire_limited=*/true,
                              round_trips / 10);
-    us[i] = sw.UsecPerRoundTripWall();
-    std::printf("%-38s | %18.2f | %18.1f\n", kConfigs[i].name, us[i],
-                wire.UsecPerRoundTripSim());
+    us[i] = Median(samples[i]);
+    auto [lo, hi] = std::minmax_element(samples[i].begin(), samples[i].end());
+    std::printf("%-38s | %20.2f | %6.2f-%-6.2f | %18.1f\n", kConfigs[i].name,
+                us[i], *lo, *hi, wire.UsecPerRoundTripSim());
   }
 
   double overhead = us[2] / us[1];
   Check(overhead > 1.02,
-        "\nShape check: rtt(OSKit)/rtt(FreeBSD) = %.2f  (paper: > 1 — "
+        "\nShape check: median rtt(OSKit)/rtt(FreeBSD) = %.2f  (paper: > 1 — "
         "'the OSKit imposes significant overhead' from glue code)",
         overhead);
   std::printf("The delta is the COM boundary crossings, bufio conversions and "

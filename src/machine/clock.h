@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace oskit {
@@ -43,7 +42,7 @@ class SimClock {
   // fired, so cancelling a completed event must NOT report success.
   bool Cancel(EventId id);
 
-  bool HasPending() const { return !live_.empty(); }
+  bool HasPending() const { return pending_ != 0; }
 
   // Time of the earliest pending event; ~0 when none are pending.
   SimTime NextEventTime();
@@ -59,27 +58,56 @@ class SimClock {
   size_t events_run() const { return events_run_; }
 
  private:
-  struct Event {
-    SimTime when;
-    EventId id;  // tie-break: schedule order
+  // Event storage is a slab of slots reused through a free list, so a
+  // schedule/run cycle allocates nothing in the engine itself.  An EventId
+  // is (generation << 32) | slot; the slot's generation advances whenever
+  // its event runs or is cancelled, so a stale id never matches the slot's
+  // next occupant.
+  struct Slot {
     std::function<void()> fn;
+    uint32_t generation = 1;
+  };
+
+  // Heap entry: ordered by (when, seq); `generation` tells a live entry
+  // from one whose event was cancelled (the slot may since hold another).
+  struct Entry {
+    SimTime when;
+    uint64_t seq;  // tie-break: schedule order
+    uint32_t slot;
+    uint32_t generation;
   };
 
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
+  // True when the heap entry's event was cancelled after it was queued.
+  bool Stale(const Entry& e) const {
+    return slots_[e.slot].generation != e.generation;
+  }
+
+  // Retires a slot (its event ran or was cancelled): invalidates its id and
+  // returns it to the free list.
+  void Release(uint32_t slot);
+
+  // Pops cancelled entries off the top; false when nothing is pending.
+  bool SkipCancelled();
+
+  // Pops the (live) top entry, moves its callback out and runs it.
+  void RunTop();
+
   SimTime now_ = 0;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   size_t events_run_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> live_;       // scheduled, not yet run/cancelled
-  std::unordered_set<EventId> cancelled_;  // lazy-deletion tombstones
+  size_t pending_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace oskit

@@ -12,8 +12,6 @@
 #ifndef OSKIT_SRC_MACHINE_FIBER_H_
 #define OSKIT_SRC_MACHINE_FIBER_H_
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -45,9 +43,10 @@ class Fiber {
   std::string name_;
   std::function<void()> entry_;
   std::vector<uint8_t> stack_;
-  ucontext_t context_;
+  void* sp_ = nullptr;  // saved stack pointer while switched out
   State state_ = State::kRunnable;
   FiberScheduler* scheduler_ = nullptr;
+  void* asan_fake_stack_ = nullptr;  // AddressSanitizer's per-fiber state
 };
 
 class FiberScheduler {
@@ -83,11 +82,18 @@ class FiberScheduler {
   size_t live_count() const { return live_count_; }
 
  private:
-  static void Trampoline();
+  // First function a fiber runs (on its own stack); never returns.
+  [[noreturn]] static void FiberMain(Fiber* self);
 
+  // Scheduler side: runs `fiber` until it blocks, yields or finishes.
   void SwitchTo(Fiber* fiber);
+  // Fiber side: saves the running fiber and resumes the scheduler.
+  void SwitchToScheduler(Fiber* self);
 
-  ucontext_t scheduler_context_ = {};
+  void* scheduler_sp_ = nullptr;  // saved while a fiber runs
+  // Bounds of the stack RunReady runs on, for AddressSanitizer.
+  const void* scheduler_stack_bottom_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
   Fiber* current_ = nullptr;
   std::deque<Fiber*> run_queue_;
   std::vector<std::unique_ptr<Fiber>> fibers_;

@@ -71,8 +71,9 @@ void NicHw::TxStartVec(const uint8_t* const* chunks, const size_t* lens,
   link_->Transmit(this, chunks, lens, count);
 }
 
-void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
-  if (!AcceptsFrame(frame, len)) {
+void NicHw::FrameArrived(std::vector<uint8_t>&& frame) {
+  size_t len = frame.size();
+  if (!AcceptsFrame(frame.data(), len)) {
     return;
   }
   if (rx_ring_.size() >= kRxRingCapacity) {
@@ -80,7 +81,7 @@ void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
     return;
   }
   ++rx_frames_;
-  rx_ring_.emplace_back(frame, frame + len);
+  rx_ring_.push_back(std::move(frame));
   if (len > kEtherHeaderSize && fault_->ShouldFail("nic.rx.corrupt")) {
     // Flip one payload byte past the header so the frame still reaches the
     // stack and the protocol checksums have to catch it.

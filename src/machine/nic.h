@@ -90,8 +90,8 @@ class NicHw final : public WireEndpoint {
   void TxStart(const uint8_t* frame, size_t len);
   void TxStartVec(const uint8_t* const* chunks, const size_t* lens, size_t count);
 
-  // WireEndpoint
-  void FrameArrived(const uint8_t* frame, size_t len) override;
+  // WireEndpoint: an accepted frame's buffer becomes the RX ring entry.
+  void FrameArrived(std::vector<uint8_t>&& frame) override;
 
   // Statistics.
   uint64_t rx_frames() const { return rx_frames_; }

@@ -131,21 +131,26 @@ void VirtualSwitch::Forward(int in_port, std::vector<uint8_t> frame) {
         return;
       }
       ++frames_unicast_;
-      Egress(it->second, frame);
+      Egress(it->second, std::move(frame));
       return;
     }
   }
 
   ++frames_flooded_;
-  for (size_t out = 0; out < ports_.size(); ++out) {
-    if (static_cast<int>(out) == in_port) {
+  // The last output port takes the frame's buffer; earlier ones get copies.
+  int last = static_cast<int>(ports_.size()) - 1;
+  if (last == in_port) {
+    --last;
+  }
+  for (int out = 0; out <= last; ++out) {
+    if (out == in_port) {
       continue;
     }
-    Egress(static_cast<int>(out), frame);
+    Egress(out, out == last ? std::move(frame) : frame);
   }
 }
 
-void VirtualSwitch::Egress(int out, const std::vector<uint8_t>& frame) {
+void VirtualSwitch::Egress(int out, std::vector<uint8_t> frame) {
   Port& port = ports_[static_cast<size_t>(out)];
   const PortConfig& cfg = port.config;
 
@@ -180,15 +185,15 @@ void VirtualSwitch::Egress(int out, const std::vector<uint8_t>& frame) {
     }
     ScheduleDelivery(port.endpoint, frame, dup_when);
   }
-  ScheduleDelivery(port.endpoint, frame, when);
+  ScheduleDelivery(port.endpoint, std::move(frame), when);
 }
 
 void VirtualSwitch::ScheduleDelivery(WireEndpoint* dest,
                                      std::vector<uint8_t> frame,
                                      SimTime when) {
   SimTime delay = when > clock_->Now() ? when - clock_->Now() : 0;
-  clock_->ScheduleAfter(delay, [dest, frame = std::move(frame)] {
-    dest->FrameArrived(frame.data(), frame.size());
+  clock_->ScheduleAfter(delay, [dest, frame = std::move(frame)]() mutable {
+    dest->FrameArrived(std::move(frame));
   });
 }
 

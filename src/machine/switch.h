@@ -92,7 +92,7 @@ class VirtualSwitch final : public EtherLink {
   // Learn the source MAC, pick the output port set, egress.
   void Forward(int in_port, std::vector<uint8_t> frame);
   // Runs one frame copy through port `out`'s egress queue and fault model.
-  void Egress(int out, const std::vector<uint8_t>& frame);
+  void Egress(int out, std::vector<uint8_t> frame);
   void ScheduleDelivery(WireEndpoint* dest, std::vector<uint8_t> frame,
                         SimTime when);
 

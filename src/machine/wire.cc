@@ -40,7 +40,15 @@ void EthernetWire::Deliver(WireEndpoint* source, std::vector<uint8_t> frame) {
   medium_free_at_ = start + serialize;
   SimTime arrival = medium_free_at_ + config_.propagation_ns;
 
-  for (WireEndpoint* dest : endpoints_) {
+  // The last destination takes the frame's buffer; earlier ones get copies.
+  size_t last = endpoints_.size();
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    if (endpoints_[i] != source) {
+      last = i;
+    }
+  }
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    WireEndpoint* dest = endpoints_[i];
     if (dest == source) {
       continue;
     }
@@ -52,24 +60,23 @@ void EthernetWire::Deliver(WireEndpoint* source, std::vector<uint8_t> frame) {
     if (config_.reorder_jitter_ns != 0) {
       when += rng_.Below(config_.reorder_jitter_ns + 1);
     }
-    std::vector<uint8_t> copy = frame;
     if (config_.duplicate_percent != 0 && rng_.Percent(config_.duplicate_percent)) {
       ++frames_duplicated_;
       SimTime dup_when = when;
       if (config_.reorder_jitter_ns != 0) {
         dup_when = arrival + rng_.Below(config_.reorder_jitter_ns + 1);
       }
-      ScheduleDelivery(dest, copy, dup_when);
+      ScheduleDelivery(dest, frame, dup_when);
     }
-    ScheduleDelivery(dest, std::move(copy), when);
+    ScheduleDelivery(dest, i == last ? std::move(frame) : frame, when);
   }
 }
 
 void EthernetWire::ScheduleDelivery(WireEndpoint* dest, std::vector<uint8_t> frame,
                                     SimTime when) {
   SimTime delay = when > clock_->Now() ? when - clock_->Now() : 0;
-  clock_->ScheduleAfter(delay, [dest, frame = std::move(frame)] {
-    dest->FrameArrived(frame.data(), frame.size());
+  clock_->ScheduleAfter(delay, [dest, frame = std::move(frame)]() mutable {
+    dest->FrameArrived(std::move(frame));
   });
 }
 

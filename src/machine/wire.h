@@ -18,11 +18,12 @@
 
 namespace oskit {
 
-// Receiver-side attachment: the NIC model implements this.
+// Receiver-side attachment: the NIC model implements this.  The frame's
+// buffer is handed over, so a receiver can keep it without copying.
 class WireEndpoint {
  public:
   virtual ~WireEndpoint() = default;
-  virtual void FrameArrived(const uint8_t* frame, size_t len) = 0;
+  virtual void FrameArrived(std::vector<uint8_t>&& frame) = 0;
 };
 
 // What a NIC plugs into: either the shared-medium EthernetWire below (the

@@ -77,11 +77,11 @@ struct LTcpPcb {
   // Send queue: MSS-sized skbuffs awaiting ACK (data starts at the TCP
   // payload; headers are pushed on (re)transmission into the headroom).
   struct TxSeg {
-    sk_buff* skb;      // owns the payload bytes
-    uint32_t seq;      // first payload byte's sequence number
-    uint32_t len;      // payload length
-    bool fin;          // segment carries FIN after its data
-    bool transmitted;
+    sk_buff* skb = nullptr;  // owns the payload bytes
+    uint32_t seq = 0;        // first payload byte's sequence number
+    uint32_t len = 0;        // payload length
+    bool fin = false;        // segment carries FIN after its data
+    bool transmitted = false;
   };
   std::list<TxSeg> txq;
   size_t txq_bytes = 0;

@@ -67,6 +67,57 @@ TEST_P(ChecksumSplitTest, ArbitrarySplitsEqualFlat) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumSplitTest, ::testing::Values(1, 9, 77));
 
+// The definition of the sum, one big-endian 16-bit word at a time.
+uint16_t ReferenceChecksum(const uint8_t* p, size_t length) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i + 1 < length; i += 2) {
+    sum += (static_cast<uint32_t>(p[i]) << 8) | p[i + 1];
+  }
+  if (length % 2 != 0) {
+    sum += static_cast<uint32_t>(p[length - 1]) << 8;
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum & 0xffff);
+}
+
+// Differential property: the word-wide sum equals the reference for every
+// length 0..3000, from unaligned starts, fed flat or in pieces split at
+// random (often odd) points, over random, all-zero and all-0xff bytes.  The
+// last two pin the 0x0000/0xffff distinction a fold can get wrong.
+TEST(ChecksumTest, MatchesWordAtATimeReference) {
+  Rng rng(0xc0ffee);
+  std::vector<uint8_t> buf(3000 + 8);
+  for (int fill = 0; fill < 3; ++fill) {
+    for (auto& b : buf) {
+      b = fill == 0 ? static_cast<uint8_t>(rng.Next()) : fill == 1 ? 0x00 : 0xff;
+    }
+    for (size_t length = 0; length <= 3000; ++length) {
+      const uint8_t* p = buf.data() + rng.Below(8);
+      uint16_t want = ReferenceChecksum(p, length);
+      ASSERT_EQ(want, InetChecksumOf(p, length)) << "fill " << fill << " length " << length;
+
+      InetChecksum chained;
+      size_t offset = 0;
+      while (offset < length) {
+        // Short pieces (many odd split points) mixed with long ones.
+        size_t n = rng.Below(2) != 0 ? rng.Range(0, 17) : rng.Range(0, length - offset);
+        if (n > length - offset) {
+          n = length - offset;
+        }
+        chained.Add(p + offset, n);
+        offset += n;
+      }
+      ASSERT_EQ(want, chained.Finish()) << "fill " << fill << " length " << length;
+    }
+  }
+  const std::vector<uint8_t> zeros(1500, 0x00);
+  const std::vector<uint8_t> ones(1500, 0xff);
+  EXPECT_EQ(0xffff, InetChecksumOf(zeros.data(), zeros.size()));
+  EXPECT_EQ(0x0000, InetChecksumOf(ones.data(), ones.size()));
+}
+
 TEST(ByteOrderTest, SwapsAndUnalignedAccess) {
   EXPECT_EQ(0x3412, ByteSwap16(0x1234));
   EXPECT_EQ(0x78563412u, ByteSwap32(0x12345678));

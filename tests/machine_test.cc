@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,87 @@ TEST(ClockTest, EventsScheduledInsideEventsRun) {
   EXPECT_EQ(2, depth);
 }
 
+TEST(ClockTest, StaleIdNeverCancelsReusedSlot) {
+  SimClock clock;
+  int first = 0;
+  int second = 0;
+  SimClock::EventId ran = clock.ScheduleAt(10, [&] { ++first; });
+  ASSERT_TRUE(clock.RunOne());
+  // The slot is free again; the next event reuses it under a new id.
+  SimClock::EventId reused = clock.ScheduleAt(20, [&] { ++second; });
+  EXPECT_NE(ran, reused);
+  EXPECT_FALSE(clock.Cancel(ran));
+  EXPECT_TRUE(clock.HasPending());
+  ASSERT_TRUE(clock.RunOne());
+  EXPECT_EQ(1, first);
+  EXPECT_EQ(1, second);
+
+  // A cancelled event's heap entry surfaces before its slot's new occupant
+  // and must be skipped without disturbing it.
+  SimClock::EventId cancelled = clock.ScheduleAt(30, [&] { ++first; });
+  ASSERT_TRUE(clock.Cancel(cancelled));
+  EXPECT_FALSE(clock.HasPending());
+  SimClock::EventId next = clock.ScheduleAt(40, [&] { ++second; });
+  EXPECT_FALSE(clock.Cancel(cancelled));
+  EXPECT_TRUE(clock.HasPending());
+  EXPECT_EQ(40u, clock.NextEventTime());
+  ASSERT_TRUE(clock.RunOne());
+  EXPECT_FALSE(clock.RunOne());
+  EXPECT_EQ(1, first);
+  EXPECT_EQ(2, second);
+  EXPECT_FALSE(clock.Cancel(next));
+  EXPECT_EQ(3u, clock.events_run());
+}
+
+TEST(ClockTest, CancelFailsInsideOwnCallbackAndWhenRepeated) {
+  SimClock clock;
+  SimClock::EventId id = SimClock::kInvalidEvent;
+  bool cancelled_inside = true;
+  id = clock.ScheduleAfter(5, [&] { cancelled_inside = clock.Cancel(id); });
+  EXPECT_NE(SimClock::kInvalidEvent, id);
+  ASSERT_TRUE(clock.RunOne());
+  EXPECT_FALSE(cancelled_inside);
+  EXPECT_FALSE(clock.Cancel(id));
+  EXPECT_FALSE(clock.Cancel(SimClock::kInvalidEvent));
+}
+
+TEST(ClockTest, SameTimeFifoWithCancelsAndExactCounts) {
+  SimClock clock;
+  std::vector<int> order;
+  std::vector<int> expected;
+  std::vector<SimClock::EventId> ids;
+  for (int i = 0; i < 300; ++i) {
+    ids.push_back(clock.ScheduleAt(i % 2 == 0 ? 100 : 50, [&order, i] { order.push_back(i); }));
+  }
+  size_t live = ids.size();
+  for (int i = 0; i < 300; i += 3) {
+    ASSERT_TRUE(clock.Cancel(ids[i]));
+    --live;
+  }
+  for (int odd_first = 1; odd_first >= 0; --odd_first) {
+    for (int i = 0; i < 300; ++i) {
+      if (i % 2 == odd_first && i % 3 != 0) {
+        expected.push_back(i);
+      }
+    }
+  }
+  // Events scheduled from a callback at the current time run after every
+  // event already queued for that time.
+  clock.ScheduleAt(50, [&] { clock.ScheduleAt(100, [&] { order.push_back(-1); }); });
+  expected.push_back(-1);
+  ++live;
+  size_t runs = 0;
+  while (clock.HasPending()) {
+    ASSERT_TRUE(clock.RunOne());
+    ++runs;
+  }
+  EXPECT_FALSE(clock.RunOne());
+  EXPECT_EQ(live + 1, runs);
+  EXPECT_EQ(runs, clock.events_run());
+  EXPECT_EQ(expected, order);
+  EXPECT_EQ(~static_cast<SimTime>(0), clock.NextEventTime());
+}
+
 TEST(FiberTest, SpawnRunsToCompletion) {
   Simulation sim;
   bool ran = false;
@@ -107,6 +191,182 @@ TEST(FiberTest, BlockAndUnblockFromEvent) {
   sim.clock().ScheduleAfter(100, [&] { sim.scheduler().Unblock(fiber); });
   EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
   EXPECT_TRUE(resumed);
+}
+
+uint32_t ReadMxcsr() {
+  uint32_t mxcsr;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  return mxcsr;
+}
+
+void WriteMxcsr(uint32_t mxcsr) { asm volatile("ldmxcsr %0" : : "m"(mxcsr)); }
+
+uint16_t ReadFpuControl() {
+  uint16_t cw;
+  asm volatile("fnstcw %0" : "=m"(cw));
+  return cw;
+}
+
+void WriteFpuControl(uint16_t cw) { asm volatile("fldcw %0" : : "m"(cw)); }
+
+// Each fiber's floating-point control state is its own: a switch saves and
+// restores MXCSR and the x87 control word, so one fiber's rounding mode
+// never leaks into another fiber or back into the scheduler.
+TEST(FiberTest, FloatingPointControlSurvivesSwitches) {
+  const uint32_t host_mxcsr = ReadMxcsr();
+  const uint16_t host_cw = ReadFpuControl();
+  const uint32_t fiber_mxcsr = (host_mxcsr & ~0x6000u) | 0x6000u;  // round to zero
+  const uint16_t fiber_cw = static_cast<uint16_t>((host_cw & ~0x0f00) | 0x0c00);  // single, to zero
+  Simulation sim;
+  int checks = 0;
+  sim.Spawn("modes", [&] {
+    WriteMxcsr(fiber_mxcsr);
+    WriteFpuControl(fiber_cw);
+    for (int i = 0; i < 5; ++i) {
+      sim.scheduler().YieldCurrent();
+      EXPECT_EQ(fiber_mxcsr, ReadMxcsr());
+      EXPECT_EQ(fiber_cw, ReadFpuControl());
+      ++checks;
+    }
+  });
+  sim.Spawn("defaults", [&] {
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(host_mxcsr, ReadMxcsr());
+      EXPECT_EQ(host_cw, ReadFpuControl());
+      ++checks;
+      sim.scheduler().YieldCurrent();
+    }
+  });
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ(10, checks);
+  EXPECT_EQ(host_mxcsr, ReadMxcsr());
+  EXPECT_EQ(host_cw, ReadFpuControl());
+}
+
+// A fiber starts on a hand-built frame; the ABI wants the stack 16-byte
+// aligned at every call, which aligned locals and the SSE register spills
+// in a varargs double printf both depend on.
+__attribute__((noinline)) std::string FormatOnStack(double x) {
+  alignas(16) char buf[32];
+  EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(buf) % 16);
+  std::snprintf(buf, sizeof(buf), "%.2f", x);
+  return buf;
+}
+
+TEST(FiberTest, StackIsAbiAligned) {
+  Simulation sim;
+  std::vector<std::string> out;
+  for (int f = 0; f < 2; ++f) {
+    sim.Spawn("aligned", [&, f] {
+      alignas(16) double local[2] = {1.5 * f, 0.25};
+      EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(local) % 16);
+      out.push_back(FormatOnStack(local[0] + local[1]));
+      sim.scheduler().YieldCurrent();
+      out.push_back(FormatOnStack(local[0] - local[1]));
+    });
+  }
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ((std::vector<std::string>{"0.25", "1.75", "-0.25", "1.25"}), out);
+}
+
+TEST(FiberTest, HundredThousandBlockUnblockRoundTrips) {
+  constexpr int kRounds = 100000;
+  FiberScheduler sched;
+  Fiber* ping = nullptr;
+  int pongs = 0;
+  Fiber* pong = sched.Spawn("pong", [&] {
+    for (int i = 0; i < kRounds; ++i) {
+      sched.BlockCurrent();
+      ++pongs;
+      sched.Unblock(ping);
+    }
+  });
+  ping = sched.Spawn("ping", [&] {
+    for (int i = 0; i < kRounds; ++i) {
+      sched.Unblock(pong);
+      sched.BlockCurrent();
+      ASSERT_EQ(i + 1, pongs);
+    }
+  });
+  sched.RunReady();
+  EXPECT_EQ(kRounds, pongs);
+  EXPECT_EQ(0u, sched.live_count());
+  EXPECT_FALSE(sched.HasRunnable());
+}
+
+// A fiber whose entry returns switches back into RunReady for good, and
+// RunReady frees it there and then: what its entry captured is destroyed.
+TEST(FiberTest, FinishedFiberReturnsToSchedulerAndIsReaped) {
+  FiberScheduler sched;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  std::vector<int> order;
+  sched.Spawn("short", [&order, token] { order.push_back(*token + 1); });
+  sched.Spawn("yields", [&] {
+    order.push_back(2);
+    sched.YieldCurrent();
+    order.push_back(3);
+  });
+  token.reset();
+  EXPECT_EQ(2u, sched.live_count());
+  sched.RunReady();
+  EXPECT_EQ((std::vector<int>{1, 2, 3}), order);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(0u, sched.live_count());
+  EXPECT_EQ(nullptr, sched.current());
+  // The scheduler keeps working after reaping.
+  bool again = false;
+  sched.Spawn("again", [&] { again = true; });
+  sched.RunReady();
+  EXPECT_TRUE(again);
+}
+
+// Throwing and catching inside a fiber: the unwinder skips the epilogues
+// that unpoison a frame's stack redzones, so AddressSanitizer must know the
+// fiber's stack bounds to clean up after the throw.  A larger frame then
+// reuses that stack memory.
+__attribute__((noinline)) void ThrowFromDepth(int depth) {
+  volatile char pad[64];
+  pad[0] = static_cast<char>(depth);
+  if (depth == 0) {
+    throw std::runtime_error("unwind");
+  }
+  ThrowFromDepth(depth - 1);
+  pad[1] = pad[0];
+}
+
+__attribute__((noinline)) int FillLargeFrame() {
+  volatile char big[4096];
+  for (size_t i = 0; i < sizeof(big); ++i) {
+    big[i] = static_cast<char>(i);
+  }
+  int sum = 0;
+  for (size_t i = 0; i < sizeof(big); ++i) {
+    sum += big[i];
+  }
+  return sum;
+}
+
+TEST(FiberTest, ExceptionCaughtInsideFiber) {
+  Simulation sim;
+  int caught = 0;
+  int sum = 0;
+  for (int f = 0; f < 2; ++f) {
+    sim.Spawn("thrower", [&] {
+      for (int i = 0; i < 3; ++i) {
+        try {
+          ThrowFromDepth(8);
+        } catch (const std::runtime_error&) {
+          ++caught;
+        }
+        sum += FillLargeFrame();
+        sim.scheduler().YieldCurrent();
+      }
+    });
+  }
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ(6, caught);
+  EXPECT_EQ(6 * FillLargeFrame(), sum);
 }
 
 TEST(CpuTest, TrapDispatchesToHandlerWithFallbackChain) {
@@ -254,8 +514,8 @@ class WireFixture : public ::testing::Test {
  protected:
   struct Sink : WireEndpoint {
     std::vector<std::vector<uint8_t>> frames;
-    void FrameArrived(const uint8_t* frame, size_t len) override {
-      frames.emplace_back(frame, frame + len);
+    void FrameArrived(std::vector<uint8_t>&& frame) override {
+      frames.push_back(std::move(frame));
     }
   };
 };

@@ -31,8 +31,10 @@ class MemDebugTest : public ::testing::Test {
     return false;
   }
 
-  std::unique_ptr<MemDebug> debug_;
+  // Declared first so it outlives debug_: MemDebug's destructor evicts its
+  // quarantine and reports fence faults into this vector.
   std::vector<MemDebug::Fault> faults_;
+  std::unique_ptr<MemDebug> debug_;
 };
 
 TEST_F(MemDebugTest, CleanUsageReportsNothing) {
